@@ -1,11 +1,13 @@
 """Fused numpy kernels compiled from a :class:`CompiledNetlist` schedule.
 
-The serial engine interprets the levelized schedule: one Python-level
-dispatch per ``(level, kind)`` group, with the gate semantics chosen by
-a chain of ``if kind == ...`` tests on every settle.  For the batched
-engine that per-group interpretation overhead is the bottleneck -- the
-arrays themselves are small (one word per net) and the work per numpy
-op is tiny, so the Python dispatch around each op dominates.
+The batched engine evaluates the levelized ``(level, kind)`` schedule
+on bit-packed lane planes.  Interpreting it -- one Python-level
+dispatch per group, the gate semantics chosen by a chain of ``if kind
+== ...`` tests on every settle -- would make that dispatch the
+bottleneck: the arrays are small (one word per net) and the work per
+numpy op is tiny.  (The serial engine does not interpret groups either:
+it evaluates one gate table lookup per level, see
+:mod:`repro.sim.cycle_sim`.)
 
 This module removes the interpreter: it *generates Python source* for
 the whole schedule once per compiled netlist and ``exec``\\ s it with the
@@ -23,10 +25,10 @@ group index arrays bound in the namespace, yielding
 
 Every generated expression is *pure bitwise algebra* -- ``& | ^ ~`` only,
 never ``==`` or boolean ``where`` -- so the same kernels evaluate both
-the serial engine's bool planes and the batched engine's bit-packed
-``uint64`` planes (one bit per lane, 64 independent simulations per
-word).  Equivalence with the interpreted evaluators is pinned by the
-batch/serial parity tests.
+one-state bool planes and the batched engine's bit-packed ``uint64``
+planes (one bit per lane, 64 independent simulations per word).  The reference semantics are :data:`repro.logic.tables.COMB_EVAL`;
+equivalence with the serial engine, whose gate table is generated from
+them, is pinned by the batch/serial parity tests.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from __future__ import annotations
 import weakref
 from typing import Callable, List, Tuple
 
-from .cycle_sim import CompiledNetlist
+from .cycle_sim import TABLE_KINDS, CompiledNetlist
 
-#: gate kinds the generator knows; kept in sync with
-#: CycleSim._compute_group (the interpreted reference semantics)
-SUPPORTED_KINDS = ("BUF", "NOT", "AND", "NAND", "OR", "NOR",
-                   "XOR", "XNOR", "MUX2")
+#: gate kinds the generator knows: those of the serial gate table
+SUPPORTED_KINDS = TABLE_KINDS
 
 
 def _group_lines(gid: int, kind: str) -> List[str]:

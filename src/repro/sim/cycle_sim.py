@@ -3,14 +3,23 @@
 The event kernel in :mod:`repro.sim.event_sim` reproduces the paper's
 iverilog architecture faithfully, but a pure-Python event queue cannot
 sweep a whole processor for thousands of cycles.  This engine is the
-throughput path: it compiles the netlist once into per-(level, kind) index
-arrays and evaluates each cycle with a handful of numpy operations.
+throughput path: it compiles the netlist once into one *level table*
+per topological level and settles a cycle with five numpy operations
+per level.
 
-Encoding: every net is a pair of booleans ``(val, known)`` across two
-numpy planes; ``known == False`` is ``X`` (``Z`` collapses to ``X``, which
-is safe for the non-tristate cell library).  All evaluators implement the
-same Kleene semantics as :mod:`repro.logic.tables`; engine equivalence is
-enforced by randomized cross-tests.
+Encoding: every net is a pair of booleans ``(val, known)``; ``known ==
+False`` is ``X`` (``Z`` collapses to ``X``, which is safe for the
+non-tristate cell library).  The pair is one row of an ``(n, 2)`` bool
+array (:class:`~repro.sim.planes.BoolPlanes`), so a net is also one
+2-byte code: ``X`` 0x000, ``0`` 0x100, ``1`` 0x101.
+
+Settling evaluates all combinational gates of a level at once: gather
+the codes of each gate's three ports (a cell with fewer ports repeats
+port 0), weight them ``1, 2, 4`` and sum -- one number per input
+combination -- add the gate kind's slot offset, and look the output
+code up in :data:`GATE_TABLE`.  That table is generated from
+:data:`repro.logic.tables.COMB_EVAL`, the evaluators the event kernel
+uses, so both engines take their gate semantics from one place.
 
 The engine supports the three paper-specific features directly:
 
@@ -23,33 +32,65 @@ The engine supports the three paper-specific features directly:
   settle, which is how the co-analysis engine steers a forked simulation
   down one side of a branch ("appropriate control flow signals are set",
   paper section 3).
-
-Settling is *incremental*: every mutation (``set_input``, ``force``,
-``restore``, ``clock_edge``) marks the nets it actually changed dirty,
-and :meth:`CycleSim.settle` only re-evaluates the ``(level, kind)``
-groups inside the fanout cone of those nets, walking a per-net cone
-index built once at compile time.  When the dirty frontier grows past
-``incremental_threshold`` of the design, settle falls back to the full
-levelized sweep (the cone bookkeeping would cost more than it saves).
-This is what makes fork-heavy path replay cheap: restoring a snapshot
-that differs in a handful of state bits re-simulates only the logic
-those bits reach, not the whole core.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..logic.tables import COMB_EVAL
 from ..logic.value import Logic
 from ..logic.vector import LVec
+from ..netlist.cells import LIBRARY
 from ..netlist.netlist import Netlist
 from .memory import XMemory
-from .planes import BoolPlanes
+from .planes import CODE_0, CODE_1, CODE_DTYPE, CODE_X, BoolPlanes
 from .state import SimState
+
+#: net code of each level, indexed by ``Logic`` (``Z`` reads as ``X``)
+_LEVEL_CODE = (CODE_0, CODE_1, CODE_X, CODE_X)
+#: level of each net code; codes with ``known`` clear read as ``X``
+_CODE_LEVEL = tuple(Logic.L0 if c == CODE_0 else
+                    Logic.L1 if c == CODE_1 else Logic.X
+                    for c in range(CODE_1 + 1))
+
+#: comb kinds the level table evaluates, in table-slot order (ties are
+#: constants, set once and never re-evaluated)
+TABLE_KINDS = ("BUF", "NOT", "AND", "NAND", "OR", "NOR", "XOR", "XNOR",
+               "MUX2")
+#: port weights: ``codes @ _WEIGHTS`` is ``known_bits << 8 | val_bits``
+#: over the three ports, which stays below one slot
+_WEIGHTS = np.array([1, 2, 4], dtype=CODE_DTYPE)
+_SLOT = 8 << 8
+
+
+def _build_gate_table() -> np.ndarray:
+    """Output code of every kind on every 3-port ``X/0/1`` input.
+
+    Entries no such input reaches (a ``val`` bit without its ``known``
+    bit) read ``X``.
+    """
+    inputs = list(itertools.product((Logic.X, Logic.L0, Logic.L1),
+                                    repeat=3))
+    index = np.array([[_LEVEL_CODE[x] for x in ins] for ins in inputs],
+                     dtype=CODE_DTYPE) @ _WEIGHTS
+    table = np.full(len(TABLE_KINDS) * _SLOT, CODE_X, dtype=CODE_DTYPE)
+    for slot, kind in enumerate(TABLE_KINDS):
+        arity = LIBRARY[kind].arity
+        # padded ports repeat port 0: evaluating them too would make
+        # XOR(a, b) the 3-input XOR(a, b, a)
+        table[slot * _SLOT + index] = [
+            _LEVEL_CODE[COMB_EVAL[kind](ins[:arity])] for ins in inputs]
+    return table
+
+
+#: output code by ``slot * _SLOT + codes @ _WEIGHTS``; built at import
+GATE_TABLE = _build_gate_table()
 
 
 class ForcedRestoreWarning(RuntimeWarning):
@@ -75,16 +116,43 @@ class _Group:
         self.level = level
 
 
+def _level_tables(schedule: List[_Group]) -> List[
+        Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(level, ins, offset, out)`` per logic level of ``schedule``.
+
+    ``ins`` holds the (3, m) port nets of the level's m gates (ports a
+    cell lacks repeat port 0) and ``offset`` each gate's
+    :data:`GATE_TABLE` slot.  The schedule is level-sorted, so a level
+    is one run of its concatenated groups.
+    """
+    if not schedule:
+        return []
+    sizes = [len(grp.out) for grp in schedule]
+    ins = np.stack([np.concatenate(
+        [grp.ins[p] if p < len(grp.ins) else grp.ins[0]
+         for grp in schedule]) for p in range(3)])
+    offset = np.repeat(np.array(
+        [TABLE_KINDS.index(grp.kind) * _SLOT for grp in schedule],
+        dtype=CODE_DTYPE), sizes)
+    out = np.concatenate([grp.out for grp in schedule])
+    gate_level = np.repeat([grp.level for grp in schedule], sizes)
+    cuts = (np.flatnonzero(np.diff(gate_level)) + 1).tolist()
+    return [(int(gate_level[s]), ins[:, s:e].copy(), offset[s:e], out[s:e])
+            for s, e in zip([0] + cuts, cuts + [len(out)])]
+
+
 class CompiledNetlist:
     """Netlist lowered to index arrays for vectorized evaluation.
 
-    Besides the levelized ``(level, kind)`` evaluation schedule, the
-    compile step builds the *fanout-cone index* used by incremental
-    settling: a CSR mapping ``net -> schedule groups that read it``
-    (:attr:`fanout_ptr` / :attr:`fanout_groups`), the comb level of each
-    net's driver (:attr:`net_comb_level`, ``-1`` for primary inputs,
-    flop outputs and ties), and a ``gate -> schedule group`` map
-    (:attr:`gate_group`).
+    The levelized ``(level, kind)`` evaluation schedule is also
+    concatenated into one level table per topological level
+    (:attr:`levels`), which :meth:`CycleSim.settle` evaluates.  For the
+    batched engine's incremental settle the compile step builds the
+    *fanout-cone index*: a CSR mapping ``net -> schedule groups that
+    read it`` (:attr:`fanout_ptr` / :attr:`fanout_groups`), the comb
+    level of each net's driver (:attr:`net_comb_level`, ``-1`` for
+    primary inputs, flop outputs and ties), and a ``gate -> schedule
+    group`` map (:attr:`gate_group`).
 
     Compilation is pure and the result is immutable, so instances are
     shared freely between simulators; use :func:`compile_netlist` to get
@@ -117,6 +185,8 @@ class CompiledNetlist:
                            dtype=np.int64)
             self.schedule.append(_Group(kind, ins, out, lvl))
         self.n_groups = len(self.schedule)
+
+        self.levels = _level_tables(self.schedule)
         self.ties: List[Tuple[str, np.ndarray]] = [
             (kind, np.array([netlist.gates[gi].output for gi in gate_ids],
                             dtype=np.int64))
@@ -214,18 +284,10 @@ class CycleSim:
         compiled: the shared :class:`CompiledNetlist`.
         record_activity: collect toggle/ever-X planes (see
             :meth:`arm_activity`).
-        incremental: settle only the dirty fanout cone (default).  Set
-            False to force the full levelized sweep on every settle --
-            the pre-incremental behaviour, kept for benchmarking and as
-            an escape hatch.
-        incremental_threshold: fraction of nets in the dirty frontier
-            above which settle falls back to the full sweep.
     """
 
     def __init__(self, compiled: CompiledNetlist,
-                 record_activity: bool = True,
-                 incremental: bool = True,
-                 incremental_threshold: float = 0.25):
+                 record_activity: bool = True):
         self.c = compiled
         n = compiled.n_nets
         # the shared six-plane state layout (see repro.sim.planes);
@@ -233,25 +295,24 @@ class CycleSim:
         self.planes = BoolPlanes(n)
         self.val = self.planes.val
         self.known = self.planes.known         # everything starts X
+        self.code = self.planes.code
         self.cycle = 0
         self.memories: Dict[str, XMemory] = {}
         self.record_activity = record_activity
         self.toggled = self.planes.toggled
         self.ever_x = self.planes.ever_x
         self._activity_armed = False
-        self._prev_val = self.planes.prev_val
-        self._prev_known = self.planes.prev_known
+        self._prev_code = self.planes.prev_code
         #: force store: net -> (val, known); index arrays are
         #: materialized lazily so N forces stay O(N), not O(N^2)
         self._forces: Dict[int, Tuple[bool, bool]] = {}
         self._force_cache: Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]] = None
-        self.incremental = incremental
-        self._dirty_limit = max(1, int(incremental_threshold * n))
-        self._dirty_nets: set = set()
-        self._dirty_groups: set = set()
-        self._needs_full = True
-        #: settle-path counters (observability / benchmark assertions)
+                                          set]] = None
+        #: a bit changed since the last settle (or mark_all_dirty)
+        self._dirty = True
+        #: settle counters: ``full_settles`` evaluated every level,
+        #: ``noop_settles`` had nothing to do; no settle is partial, so
+        #: ``incremental_settles`` stays 0
         self.full_settles = 0
         self.incremental_settles = 0
         self.noop_settles = 0
@@ -271,28 +332,29 @@ class CycleSim:
             # would resurface after release in settle-timing-dependent
             # ways (and diverge from the event kernel)
             return
-        if value.is_known:
-            v, k = value is Logic.L1, True
-        else:
-            v, k = False, False
-        if self.val[net] != v or self.known[net] != k:
-            self.val[net] = v
-            self.known[net] = k
-            self._mark_dirty(net)
+        code = _LEVEL_CODE[value]
+        if self.code[net] != code:
+            self.code[net] = code
+            self._dirty = True
 
     def get_net(self, net: int) -> Logic:
-        if not self.known[net]:
-            return Logic.X
-        return Logic.L1 if self.val[net] else Logic.L0
+        return _CODE_LEVEL[self.code[net]]
 
     def set_bus(self, nets: Sequence[int], value: LVec) -> None:
         if len(nets) != value.width:
             raise ValueError("bus width mismatch")
-        for net, bit in zip(nets, value.bits):
-            self.set_net(net, bit)
+        idx = np.asarray(nets, dtype=np.intp)
+        codes = np.fromiter(map(_LEVEL_CODE.__getitem__, value.bits),
+                            dtype=CODE_DTYPE, count=value.width)
+        if self._forces and not self._forces.keys().isdisjoint(nets):
+            free = np.array([n not in self._forces for n in nets])
+            idx, codes = idx[free], codes[free]
+        if (self.code[idx] != codes).any():
+            self.code[idx] = codes
+            self._dirty = True
 
     def get_bus(self, nets: Sequence[int]) -> LVec:
-        return LVec([self.get_net(n) for n in nets])
+        return LVec([_CODE_LEVEL[c] for c in self.code[nets].tolist()])
 
     def set_input(self, name: str, value) -> None:
         """Drive a named primary input (scalar Logic/int or LVec)."""
@@ -304,25 +366,13 @@ class CycleSim:
                 (Logic.L1 if value else Logic.L0)
             self.set_net(nl.net_index(name), level)
 
-    # -- dirty tracking -------------------------------------------------------
-    def _mark_dirty(self, net: int) -> None:
-        """A net's value changed: its fanout cone must re-settle; if it
-        is gate-driven, the driver re-derives it (so a poke to an
-        internal net is transient, exactly as under the full sweep)."""
-        self._dirty_nets.add(net)
-        drv = self.c.driver[net]
-        if drv >= 0:
-            grp = self.c.gate_group[drv]
-            if grp >= 0:
-                self._dirty_groups.add(int(grp))
-
     def mark_all_dirty(self) -> None:
-        """Invalidate incremental state: the next settle is a full sweep.
+        """Make the next settle evaluate every level.
 
         Call after writing :attr:`val` / :attr:`known` directly (e.g.
-        restoring checkpointed planes) -- bulk writes bypass the per-net
-        dirty bookkeeping."""
-        self._needs_full = True
+        restoring checkpointed planes) -- bulk writes bypass the dirty
+        flag that lets an unchanged settle return at once."""
+        self._dirty = True
 
     # -- forcing ------------------------------------------------------------
     def force(self, net: int, value: Logic) -> None:
@@ -333,14 +383,10 @@ class CycleSim:
         the next settle, by a flop at the next edge, or by a new
         ``set_net``).
         """
-        v = value is Logic.L1
-        k = value.is_known
-        self._forces[net] = (v, k)
+        self._forces[net] = (value is Logic.L1, value.is_known)
         self._force_cache = None
-        if self.val[net] != v or self.known[net] != k:
-            # the pin takes effect at the next settle; only the fanout
-            # needs re-evaluation, never the (overridden) driver
-            self._dirty_nets.add(net)
+        if self.code[net] != _LEVEL_CODE[value]:
+            self._dirty = True       # the pin takes effect at settle
 
     def release(self, net: Optional[int] = None) -> None:
         """Remove one force, or all forces when ``net`` is None."""
@@ -357,188 +403,73 @@ class CycleSim:
             self._reassert_driver(n)
 
     def _reassert_driver(self, net: int) -> None:
-        """After a release the net's own driver owns it again: schedule
-        its group for re-evaluation (ties are re-tied in place; PIs and
-        flop outputs keep the last value, as under the full sweep)."""
+        """After a release the net's own driver owns it again: a comb
+        driver re-derives it at the next settle, a tie is re-tied in
+        place; PIs and flop outputs keep the last value."""
         drv = self.c.driver[net]
         if drv < 0:
             return
-        grp = self.c.gate_group[drv]
-        if grp >= 0:
-            self._dirty_groups.add(int(grp))
+        if self.c.gate_group[drv] >= 0:
+            self._dirty = True
             return
         kind = self.c.netlist.gates[drv].kind
         if kind in ("TIE0", "TIE1"):
-            v = kind == "TIE1"
-            if self.val[net] != v or not self.known[net]:
-                self.val[net] = v
-                self.known[net] = True
-                self._dirty_nets.add(net)
+            code = CODE_1 if kind == "TIE1" else CODE_0
+            if self.code[net] != code:
+                self.code[net] = code
+                self._dirty = True
 
-    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, set]:
+        """``(nets, codes, levels)`` of the active forces: ``levels`` are
+        the comb levels that drive a forced net.  Forces are re-asserted
+        once after each such level -- pinned before any reader level
+        evaluates."""
         if self._force_cache is None:
             n = len(self._forces)
-            nets = np.fromiter(self._forces.keys(), dtype=np.int64,
+            nets = np.fromiter(self._forces.keys(), dtype=np.intp,
                                count=n)
-            vals = np.fromiter((v for v, _ in self._forces.values()),
-                               dtype=bool, count=n)
-            knowns = np.fromiter((k for _, k in self._forces.values()),
-                                 dtype=bool, count=n)
-            self._force_cache = (nets, vals, knowns)
+            codes = np.fromiter((k << 8 | v
+                                 for v, k in self._forces.values()),
+                                dtype=CODE_DTYPE, count=n)
+            levels = set(self.c.net_comb_level[nets].tolist())
+            levels.discard(-1)
+            self._force_cache = (nets, codes, levels)
         return self._force_cache
 
-    # lazily-materialized views, part of the (test-visible) interface
+    # lazily-materialized view, part of the (test-visible) interface
     @property
     def _force_nets(self) -> np.ndarray:
         return self._force_arrays()[0]
 
-    @property
-    def _force_val(self) -> np.ndarray:
-        return self._force_arrays()[1]
-
-    @property
-    def _force_known(self) -> np.ndarray:
-        return self._force_arrays()[2]
-
-    def _apply_forces(self) -> None:
-        if self._forces:
-            nets, vals, knowns = self._force_arrays()
-            self.val[nets] = vals
-            self.known[nets] = knowns
-
-    def _force_levels(self):
-        """Comb levels that drive a forced net.  Forces are re-asserted
-        once after each such level -- pinned before any reader level
-        evaluates -- instead of after every group."""
-        if not self._forces:
-            return ()
-        lv = {int(self.c.net_comb_level[n]) for n in self._forces}
-        lv.discard(-1)
-        return lv
-
     # -- evaluation ------------------------------------------------------------
     def _tie_init(self) -> None:
         for kind, out in self.c.ties:
-            self.val[out] = kind == "TIE1"
-            self.known[out] = True
-
-    def _compute_group(self, grp: _Group) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate one (level, kind) group, returning fresh (val, known)
-        planes for its output nets (no stores)."""
-        val, known = self.val, self.known
-        kind = grp.kind
-        if kind == "BUF":
-            a = grp.ins[0]
-            return val[a], known[a]
-        if kind == "NOT":
-            a = grp.ins[0]
-            ka = known[a]
-            return ~val[a] & ka, ka
-        if kind in ("AND", "NAND"):
-            a, b = grp.ins
-            va, ka = val[a], known[a]
-            vb, kb = val[b], known[b]
-            one = va & ka & vb & kb
-            zero = (ka & ~va) | (kb & ~vb)
-            k = one | zero
-            v = one if kind == "AND" else (zero & k)
-            return v, k
-        if kind in ("OR", "NOR"):
-            a, b = grp.ins
-            va, ka = val[a], known[a]
-            vb, kb = val[b], known[b]
-            one = (va & ka) | (vb & kb)
-            zero = (ka & ~va) & (kb & ~vb)
-            k = one | zero
-            v = one if kind == "OR" else zero
-            return v, k
-        if kind in ("XOR", "XNOR"):
-            a, b = grp.ins
-            k = known[a] & known[b]
-            x = val[a] ^ val[b]
-            return (x if kind == "XOR" else ~x) & k, k
-        if kind == "MUX2":
-            d0, d1, s = grp.ins
-            vs, ks = val[s], known[s]
-            v0, k0 = val[d0], known[d0]
-            v1, k1 = val[d1], known[d1]
-            s1 = ks & vs
-            s0 = ks & ~vs
-            agree = k0 & k1 & (v0 == v1)
-            k = (s0 & k0) | (s1 & k1) | (~ks & agree)
-            v = ((s0 & v0) | (s1 & v1) | (~ks & agree & v0)) & k
-            return v, k
-        raise KeyError(f"no vectorized evaluator for {kind!r}")
+            self.code[out] = CODE_1 if kind == "TIE1" else CODE_0
 
     def settle(self) -> None:
-        """Re-settle combinational logic.
+        """Re-settle combinational logic, one level table at a time.
 
-        Incremental mode evaluates only groups in the fanout cone of
-        nets dirtied since the last settle, falling back to one full
-        topological sweep when the dirty frontier exceeds the
-        threshold (or after :meth:`mark_all_dirty`).  Both paths yield
-        identical planes -- equivalence is pinned by the randomized
-        event-engine cross-tests.
+        Returns at once (a no-op settle) when no bit changed since the
+        last settle and :meth:`mark_all_dirty` was not called.
         """
-        if not self.incremental or self._needs_full or \
-                len(self._dirty_nets) > self._dirty_limit:
-            self._settle_full()
-            return
-        if not self._dirty_nets and not self._dirty_groups:
+        if not self._dirty:
             self.noop_settles += 1
             return
-        self._settle_incremental()
-
-    def _settle_full(self) -> None:
-        val, known = self.val, self.known
-        self._apply_forces()
-        force_levels = self._force_levels()
-        for grp in self.c.schedule:
-            v, k = self._compute_group(grp)
-            val[grp.out] = v
-            known[grp.out] = k
-            if grp.level in force_levels:
-                self._apply_forces()
-        self._dirty_nets.clear()
-        self._dirty_groups.clear()
-        self._needs_full = False
+        code = self.code
+        weights, lookup = _WEIGHTS, GATE_TABLE.take
+        if self._forces:
+            f_nets, f_codes, f_levels = self._force_arrays()
+            code[f_nets] = f_codes
+        else:
+            f_levels = ()
+        for lvl, ins, offset, out in self.c.levels:
+            index = weights @ code[ins]
+            index += offset
+            code[out] = lookup(index)
+            if lvl in f_levels:
+                code[f_nets] = f_codes
+        self._dirty = False
         self.full_settles += 1
-
-    def _settle_incremental(self) -> None:
-        c = self.c
-        val, known = self.val, self.known
-        affected = np.zeros(c.n_groups, dtype=bool)
-        ptr, fg = c.fanout_ptr, c.fanout_groups
-        for net in self._dirty_nets:
-            s, e = ptr[net], ptr[net + 1]
-            if s != e:
-                affected[fg[s:e]] = True
-        for g in self._dirty_groups:
-            affected[g] = True
-        self._apply_forces()
-        force_levels = self._force_levels()
-        # groups only feed strictly higher levels, so one forward pass
-        # over the schedule reaches the whole cone
-        for gi, grp in enumerate(c.schedule):
-            if not affected[gi]:
-                continue
-            out = grp.out
-            old_v, old_k = val[out], known[out]   # fancy index == copy
-            v, k = self._compute_group(grp)
-            val[out] = v
-            known[out] = k
-            if grp.level in force_levels:
-                self._apply_forces()
-                v, k = val[out], known[out]
-            changed = (v != old_v) | (k != old_k)
-            if changed.any():
-                for net in out[changed]:
-                    s, e = ptr[net], ptr[net + 1]
-                    if s != e:
-                        affected[fg[s:e]] = True
-        self._dirty_nets.clear()
-        self._dirty_groups.clear()
-        self.incremental_settles += 1
 
     def clock_edge(self) -> None:
         """Advance all flops one positive edge (synchronous semantics).
@@ -576,29 +507,25 @@ class CycleSim:
                 nv = np.where(r_on, False, np.where(r_off, nv, False))
             staged.append((out, nv, nk))
         for out, nv, nk in staged:
-            changed = (nv != val[out]) | (nk != known[out])
+            if not self._dirty and \
+                    ((nv != val[out]) | (nk != known[out])).any():
+                self._dirty = True
             val[out] = nv
             known[out] = nk
-            if changed.any():
-                self._dirty_nets.update(out[changed].tolist())
         self.cycle += 1
 
     # -- activity ---------------------------------------------------------------
     def arm_activity(self) -> None:
         """Begin toggle recording (call after reset settles)."""
         self._activity_armed = True
-        self._prev_val[:] = self.val
-        self._prev_known[:] = self.known
+        self._prev_code[:] = self.code
 
     def record_activity_now(self) -> None:
         if not (self.record_activity and self._activity_armed):
             return
         self.ever_x |= ~self.known
-        changed = (self.val != self._prev_val) | \
-                  (self.known != self._prev_known)
-        self.toggled |= changed
-        self._prev_val[:] = self.val
-        self._prev_known[:] = self.known
+        self.toggled |= self.code != self._prev_code
+        self._prev_code[:] = self.code
 
     def exercised_nets(self) -> np.ndarray:
         """Boolean per-net array: net toggled or was ever X."""
@@ -651,9 +578,7 @@ class CycleSim:
 
     def restore(self, state: SimState) -> None:
         """Restore a snapshot: state nets and memories are written back,
-        all forces are dropped, and comb logic is re-settled (only the
-        cone of the state bits that actually differ, in incremental
-        mode).
+        all forces are dropped, and comb logic is re-settled.
 
         Restoring with forces still active raises
         :class:`ForcedRestoreWarning`: a force is path-steering context,
@@ -676,17 +601,14 @@ class CycleSim:
                 f"restore() with {n_forces} active force(s): "
                 f"forces do not survive a restore; re-apply them after "
                 f"restoring", ForcedRestoreWarning, stacklevel=2)
-        cur_v, cur_k = self.val[sn], self.known[sn]
-        changed = (state.net_val != cur_v) | (state.net_known != cur_k)
-        if changed.any():
-            idx = sn[changed]
-            self.val[idx] = state.net_val[changed]
-            self.known[idx] = state.net_known[changed]
-            self._dirty_nets.update(idx.tolist())
+        if ((state.net_val != self.val[sn])
+                | (state.net_known != self.known[sn])).any():
+            self.val[sn] = state.net_val
+            self.known[sn] = state.net_known
+            self._dirty = True
         for name, snap in state.memories.items():
             self.memories[name].restore(snap)
         self.cycle = state.cycle
         self.settle()
         if self._activity_armed:
-            self._prev_val[:] = self.val
-            self._prev_known[:] = self.known
+            self._prev_code[:] = self.code

@@ -77,6 +77,8 @@ class XMemory:
 
         A fully known address reads one word; an address with ``X`` bits
         returns the merge of every word it could select (conservative).
+        An address past the last word reads all-X, so a window reaching
+        past it does too.
         """
         if addr.is_known:
             a = addr.to_int()
@@ -84,10 +86,10 @@ class XMemory:
                 return LVec.unknown(self.width)
             return self._word(a)
         lo, hi = self._addr_window(addr)
+        if hi > self.words:
+            return LVec.unknown(self.width)
         val = self.val[lo]
-        known = self.known[lo].copy()
-        for w in range(lo + 1, hi):
-            known &= self.known[w] & (self.val[w] == val)
+        known = (self.known[lo:hi] & (self.val[lo:hi] == val)).all(axis=0)
         return _to_lvec(val & known, known)
 
     def read_concrete(self, addr: int) -> LVec:
@@ -102,7 +104,7 @@ class XMemory:
         if not addr.is_known:
             self.x_addr_writes += 1
             lo, hi = self._addr_window(addr)
-            for w in range(lo, hi):
+            for w in range(lo, min(hi, self.words)):
                 self._merge_word(w, dval, dknown)
             return
         a = addr.to_int()
@@ -125,7 +127,8 @@ class XMemory:
         self.known[addr] = known
 
     def _addr_window(self, addr: LVec) -> Tuple[int, int]:
-        """Smallest concrete address interval covering a symbolic address."""
+        """Smallest concrete address interval ``[lo, hi)`` covering a
+        symbolic address; ``hi`` may exceed :attr:`words`."""
         lo = hi = 0
         for i in reversed(range(addr.width)):
             bit = addr[i]
@@ -136,9 +139,7 @@ class XMemory:
                 hi |= 1
             elif bit is not Logic.L0:
                 hi |= 1
-        lo = min(lo, self.words - 1)
-        hi = min(hi + 1, self.words)
-        return lo, hi
+        return lo, hi + 1
 
     # -- state management -------------------------------------------------------
     def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,11 @@ Both engines keep a simulation's per-net state in the same six planes:
 The *storage* differs only in width:
 
 * :class:`BoolPlanes` -- one bool per net, one simulation state: the
-  serial :class:`~repro.sim.cycle_sim.CycleSim` layout.
+  serial :class:`~repro.sim.cycle_sim.CycleSim` layout.  ``val`` and
+  ``known`` are the two columns of one ``(n_nets, 2)`` bool array, so
+  each net is also one 2-byte *code* (``val | known << 8``:
+  :data:`CODE_X`, :data:`CODE_0`, :data:`CODE_1`) that the serial
+  engine gathers, compares and scatters in one operation.
 * :class:`LanePlanes` -- ``(n_nets, n_words)`` uint64, **one bit per
   lane**: bit ``b`` of word ``w`` is lane ``w * 64 + b``.  Bitwise
   ``& | ^ ~`` over the words advances every lane at once, and widening
@@ -39,6 +43,13 @@ LANE_WORD = 64
 #: the six plane names, in the order ``arrays()`` yields them
 PLANE_NAMES = ("val", "known", "toggled", "ever_x",
                "prev_val", "prev_known")
+
+#: a :class:`BoolPlanes` net as one little-endian 2-byte word: ``val``
+#: is the low byte, ``known`` the high byte
+CODE_DTYPE = np.dtype("<u2")
+CODE_X = 0x000
+CODE_0 = 0x100
+CODE_1 = 0x101
 
 
 def lane_word_bit(lane: int) -> Tuple[int, int]:
@@ -68,23 +79,32 @@ def column_bits(arr: np.ndarray, lane: int) -> np.ndarray:
 
 
 class BoolPlanes:
-    """One simulation state: ``(n_nets,)`` bool planes (serial engine)."""
+    """One simulation state: ``(n_nets,)`` bool planes (serial engine).
 
-    __slots__ = ("n_nets", "val", "known", "toggled", "ever_x",
-                 "prev_val", "prev_known")
+    ``val``/``known`` are column views of one ``(n_nets, 2)`` array and
+    :attr:`code` is its ``(n_nets,)`` :data:`CODE_DTYPE` view;
+    ``prev_val``/``prev_known``/:attr:`prev_code` pair the same way.
+    """
+
+    __slots__ = ("n_nets", "val", "known", "code", "toggled", "ever_x",
+                 "prev_val", "prev_known", "prev_code")
 
     def __init__(self, n_nets: int):
         self.n_nets = n_nets
-        self.val = np.zeros(n_nets, dtype=bool)
-        self.known = np.zeros(n_nets, dtype=bool)   # everything starts X
+        self.val, self.known, self.code = _paired(n_nets)  # all X
         self.toggled = np.zeros(n_nets, dtype=bool)
         self.ever_x = np.zeros(n_nets, dtype=bool)
-        self.prev_val = np.zeros(n_nets, dtype=bool)
-        self.prev_known = np.zeros(n_nets, dtype=bool)
+        self.prev_val, self.prev_known, self.prev_code = _paired(n_nets)
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
         return (self.val, self.known, self.toggled, self.ever_x,
                 self.prev_val, self.prev_known)
+
+
+def _paired(n_nets: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(val, known, code)`` views of one zeroed ``(n_nets, 2)`` array."""
+    pair = np.zeros((n_nets, 2), dtype=bool)
+    return pair[:, 0], pair[:, 1], pair.view(CODE_DTYPE).reshape(n_nets)
 
 
 class LanePlanes:

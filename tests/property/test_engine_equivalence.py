@@ -182,59 +182,62 @@ class TestForcedSequentialEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_incremental_settle_matches_full_sweep(self, data):
-        """The dirty-cone settle and the full levelized sweep are the
-        same function -- under pokes, forces, releases, and restores."""
+    def test_settle_vs_event_engine(self, data):
+        """The level-table settle agrees with the event kernel under
+        pokes, forces, releases, and restores, and never leaves a
+        ``val`` bit set on an X net."""
         import warnings as _warnings
 
         from repro.sim import ForcedRestoreWarning
 
         nl = data.draw(random_seq_netlist())
-        compiled = CompiledNetlist(nl)
-        inc = CycleSim(compiled, incremental=True)
-        full = CycleSim(compiled, incremental=False)
+        cyc = CycleSim(CompiledNetlist(nl))
+        evt = EventSim(nl)
         n_nets = len(nl.nets)
         snaps = []
         forced = set()
+
+        def settled_alike():
+            assert not (cyc.val & ~cyc.known).any()
+            for net in range(n_nets):
+                assert cyc.get_net(net) is evt.get_logic(net), \
+                    f"net {nl.net_name(net)} diverged (forced={forced})"
+
         for _ in range(6):
             for i in nl.inputs:
                 value = data.draw(logic_vals)
-                inc.set_net(i, value)
-                full.set_net(i, value)
+                cyc.set_net(i, value)
+                evt.poke(i, value)
             op = data.draw(st.integers(0, 5))
             if op == 0:
                 net = data.draw(st.integers(0, n_nets - 1))
                 value = data.draw(logic_vals)
-                inc.force(net, value)
-                full.force(net, value)
+                cyc.force(net, value)
+                evt.force(net, value)
                 forced.add(net)
             elif op == 1 and forced:
                 net = data.draw(st.sampled_from(sorted(forced)))
-                inc.release(net)
-                full.release(net)
+                cyc.release(net)
+                evt.release(net)
                 forced.discard(net)
             elif op == 2:
-                snaps.append((inc.snapshot(), full.snapshot()))
+                snaps.append((cyc.snapshot(), evt.save_state()))
             elif op == 3 and snaps:
-                si, sf = snaps[data.draw(
+                sc, se = snaps[data.draw(
                     st.integers(0, len(snaps) - 1))]
                 with _warnings.catch_warnings():
                     _warnings.simplefilter("ignore", ForcedRestoreWarning)
-                    inc.restore(si)
-                    full.restore(sf)
+                    cyc.restore(sc)
+                evt.restore_state(se)
                 forced.clear()
-            inc.settle()
-            full.settle()
-            assert (inc.val == full.val).all()
-            assert (inc.known == full.known).all()
-            inc.clock_edge()
-            full.clock_edge()
-            inc.settle()
-            full.settle()
-            assert (inc.val == full.val).all()
-            assert (inc.known == full.known).all()
-        # full-path sim never takes the incremental shortcut
-        assert full.incremental_settles == 0
+            cyc.settle()
+            evt.settle()
+            settled_alike()
+            cyc.clock_edge()
+            assert not (cyc.val & ~cyc.known).any()
+            cyc.settle()
+            evt.tick()
+            settled_alike()
 
 
 class TestResynthesisPreservesSemantics:

@@ -1,13 +1,17 @@
 """Unit tests for the vectorized cycle engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.logic import Logic, LVec
-from repro.netlist import Netlist
+from repro.logic.tables import COMB_EVAL
+from repro.netlist import COMB_KINDS, LIBRARY, TIE_KINDS, Netlist
 from repro.rtl import Design, mux
 from repro.sim import (CompiledNetlist, CycleSim, ForcedRestoreWarning,
                        XMemory, compile_netlist)
+from repro.sim.cycle_sim import TABLE_KINDS
 
 
 def comb_xor_netlist():
@@ -239,6 +243,21 @@ class TestForcing:
         # a is a primary input: it keeps the forced value until re-driven
         assert sim.get_net(a) is Logic.L1
 
+    def test_forced_net_ignores_set_bus(self):
+        d = Design("bus")
+        d.output("y", ~d.input("d", 4))
+        nl = d.finalize()
+        sim = CycleSim(CompiledNetlist(nl))
+        bus = nl.bus("d", 4)
+        sim.force(bus[2], Logic.L1)
+        sim.settle()
+        sim.set_bus(bus, LVec.from_str("0x00"))   # bit 2 swallowed
+        sim.release(bus[2])
+        sim.settle()
+        # a primary input keeps the forced value until re-driven
+        assert str(sim.get_bus(bus)) == "0100"
+        assert str(sim.get_bus(nl.bus("y", 4))) == "1011"
+
 
 class TestSnapshotRestore:
     def make_counter(self):
@@ -399,36 +418,40 @@ class TestActivity:
 
 
 class TestIncrementalSettle:
-    def make_counter_sim(self, **kw):
+    def make_counter_sim(self):
         d = Design("cnt")
         r = d.reg(8, "cnt", reset=True)
         s, _ = r.q.add(d.const(1, 8))
         r.drive(s)
         d.output("y", r.q)
         nl = d.finalize()
-        return nl, CycleSim(compile_netlist(nl), **kw)
+        return nl, CycleSim(compile_netlist(nl))
 
-    def test_incremental_settles_happen_on_small_dirty_sets(self):
-        nl, sim = self.make_counter_sim()
-        sim.set_input("rst", Logic.L1)
-        sim.step()
-        sim.set_input("rst", Logic.L0)
-        for _ in range(6):
-            sim.step()
-        # after the first full sweep, single-input pokes and flop edges
-        # dirty only a small cone -> the incremental path must engage
-        assert sim.full_settles >= 1
-        assert sim.incremental_settles > 0
-
-    def test_incremental_disabled_always_full(self):
-        nl, sim = self.make_counter_sim(incremental=False)
-        sim.set_input("rst", Logic.L1)
-        sim.step()
-        sim.set_input("rst", Logic.L0)
-        for _ in range(4):
-            sim.step()
-        assert sim.incremental_settles == 0
-        assert sim.full_settles >= 1
+    def test_level_table_matches_comb_eval(self):
+        """All 27 X/0/1 assignments of three inputs, through one gate of
+        every table kind in one level: each output equals ``COMB_EVAL``
+        on exactly the cell's own ports (a padded port repeats port 0
+        and must not enter the evaluation)."""
+        assert set(TABLE_KINDS) == COMB_KINDS - TIE_KINDS
+        nl = Netlist("kinds")
+        ports = [nl.add_net(name) for name in ("a", "b", "s")]
+        for net in ports:
+            nl.mark_input(net)
+        outs = {}
+        for kind in TABLE_KINDS:
+            outs[kind] = nl.add_net(f"y_{kind}")
+            nl.add_gate(f"g_{kind}", kind, ports[:LIBRARY[kind].arity],
+                        outs[kind])
+            nl.mark_output(outs[kind])
+        sim = CycleSim(CompiledNetlist(nl))
+        for ins in itertools.product((Logic.X, Logic.L0, Logic.L1),
+                                     repeat=3):
+            for net, value in zip(ports, ins):
+                sim.set_net(net, value)
+            sim.settle()
+            for kind, y in outs.items():
+                want = COMB_EVAL[kind](ins[:LIBRARY[kind].arity])
+                assert sim.get_net(y) is want, (kind, ins)
 
     def test_redundant_settle_is_noop(self):
         nl, sim = self.make_counter_sim()
@@ -438,6 +461,18 @@ class TestIncrementalSettle:
         sim.settle()                     # nothing dirty
         assert (sim.full_settles, sim.incremental_settles) == before
         assert sim.noop_settles >= 1
+
+    def test_unchanged_bus_write_keeps_settle_noop(self):
+        nl, sim = self.make_counter_sim()
+        sim.set_input("rst", Logic.L1)
+        sim.settle()
+        y = nl.bus("y", 8)
+        sim.set_bus(y, sim.get_bus(y))     # rewrites the same bits
+        sim.settle()
+        assert (sim.full_settles, sim.noop_settles) == (1, 1)
+        sim.set_bus(y, LVec.from_int(5, 8))
+        sim.settle()
+        assert (sim.full_settles, sim.noop_settles) == (2, 1)
 
     def test_mark_all_dirty_forces_full_sweep(self):
         nl, sim = self.make_counter_sim()

@@ -1,5 +1,6 @@
 """Unit tests for the symbolic memory model."""
 
+import numpy as np
 import pytest
 
 from repro.logic import Logic, LVec
@@ -8,6 +9,21 @@ from repro.sim import XMemory
 
 def lv(text):
     return LVec.from_str(text)
+
+
+def _loop_read(m, text):
+    """Reference symbolic read: merge the window ``[lo, hi)`` of the
+    MSB-first address ``text`` word by word; all-X past the end."""
+    lo = int(text.replace("x", "0"), 2)
+    hi = int(text.replace("x", "1"), 2) + 1
+    if hi > m.words:
+        return LVec.unknown(m.width)
+    val = m.val[lo]
+    known = m.known[lo].copy()
+    for w in range(lo + 1, hi):
+        known &= m.known[w] & (m.val[w] == val)
+    return LVec([(Logic.L1 if v else Logic.L0) if k else Logic.X
+                 for v, k in zip(val.tolist(), known.tolist())])
 
 
 class TestBasics:
@@ -71,6 +87,28 @@ class TestSymbolicRead:
         m.load_word(1, 9)
         assert m.read(lv("0x")).to_int() == 9
 
+    @pytest.mark.parametrize("text", ["x11", "1x1"])
+    def test_x_address_reaching_past_the_end_reads_x(self, text):
+        """Addresses 7 and 5 read all-X, so a symbolic address that can
+        take them must too."""
+        m = XMemory(4, 8)
+        assert m.read(lv(text)).count_x() == 8
+
+    def test_window_merge_matches_word_loop(self):
+        rng = np.random.default_rng(20240613)
+        for _ in range(300):
+            words = int(rng.integers(1, 65))
+            width = int(rng.integers(1, 17))
+            m = XMemory(words, width)
+            m.val[:] = rng.random((words, width)) < 0.5
+            m.known[:] = rng.random((words, width)) < 0.8
+            addr_width = max(1, (words - 1).bit_length()
+                             + int(rng.integers(0, 2)))
+            text = "".join(rng.choice(list("01x"), addr_width))
+            if "x" not in text:
+                text = "x" + text[1:]
+            assert m.read(lv(text)) == _loop_read(m, text), (words, text)
+
 
 class TestWrites:
     def test_plain_write(self):
@@ -109,6 +147,12 @@ class TestWrites:
         m = XMemory(4, 8)
         m.write(LVec.from_int(7, 3), LVec.from_int(1, 8))
         assert all(m.read_concrete(a).to_int() == 0 for a in range(4))
+
+    def test_x_address_write_past_the_end_ignored(self):
+        m = XMemory(4, 8)
+        m.write(lv("1x1"), LVec.from_int(1, 8))     # can hit 5 or 7 only
+        assert all(m.read_concrete(a).to_int() == 0 for a in range(4))
+        assert m.x_addr_writes == 1
 
 
 class TestStateOps:
