@@ -1,8 +1,8 @@
 """Symbolic hardware-software co-analysis engine (Algorithm 1).
 
 The exploration loop lives in :class:`ExplorationKernel`; simulation
-backends (serial cycle engine, event-driven engine, supervised worker
-pool, lane-parallel batch) plug in as :class:`SimBackend`
+backends (serial cycle engine, event-driven engine, lane-parallel
+batch) plug in as :class:`SimBackend`
 implementations (``SegmentExecutor`` is the compatibility alias),
 frontier ordering as :class:`FrontierStrategy` instances, and
 observability as trace sinks on a :class:`Tracer`.
@@ -19,9 +19,7 @@ from .frontier import (FRONTIER_STRATEGIES, BreadthFirstFrontier,
 from .kernel import (BatchContext, ExplorationKernel, PendingPath,
                      SegmentExecutor, SegmentResult)
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
-                      PathRecord, ResumeMismatch, RunEvent, RunInterrupted,
-                      SegmentTimeout, StateCorruption, WorkerCrashed,
-                      WorkerFailure)
+                      PathRecord, ResumeMismatch, RunEvent)
 from .target import SymbolicTarget
 from .trace import (JsonlTraceSink, MetricsAggregator, ProgressLine,
                     RunMetrics, TraceEvent, Tracer, TraceSink,
@@ -39,7 +37,6 @@ __all__ = [
     "MetricsAggregator", "ProgressLine", "RunMetrics",
     "aggregate_trace", "read_trace",
     "CoAnalysisResult", "CoAnalysisError", "PathRecord", "RunEvent",
-    "WorkerFailure", "SegmentTimeout", "WorkerCrashed", "StateCorruption",
-    "CheckpointError", "ResumeMismatch", "RunInterrupted",
+    "CheckpointError", "ResumeMismatch",
     "SymbolicTarget",
 ]

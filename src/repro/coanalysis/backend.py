@@ -1,8 +1,8 @@
 """The SimBackend protocol and the one shared segment loop.
 
-Every execution backend -- serial cycle, event-driven, wave-parallel
-pool, lane-parallel batch -- used to carry its own copy of the same
-three pieces of plumbing:
+Every execution backend -- serial cycle, event-driven, lane-parallel
+batch -- used to carry its own copy of the same three pieces of
+plumbing:
 
 * the *per-cycle segment loop* (restore, apply the forked branch
   decision, drive to fixpoint, boundary checks, budget check, activity
@@ -79,8 +79,7 @@ class SimBackend:
     ----------
     kind : str
         Checkpoint engine tag (``"serial"`` / ``"event"`` /
-        ``"parallel"`` / ``"batch"``); resuming across kinds is a
-        mismatch.
+        ``"batch"``); resuming across kinds is a mismatch.
     design : str
         The design name stamped on the result.
     netlist : Netlist
@@ -88,7 +87,7 @@ class SimBackend:
     batch_limit : Optional[int]
         How many paths the kernel should pop per batch: ``1`` for
         one-sim-at-a-time backends, ``None`` for "the whole frontier"
-        (wave parallelism).
+        (the lockstep batch backend).
     """
 
     kind = "abstract"
@@ -114,8 +113,8 @@ class SimBackend:
         The default walks the batch one segment at a time through
         :meth:`run_segment`, decrementing the total-cycle budget per
         finished segment -- the dispatch loop every one-sim-at-a-time
-        backend previously duplicated.  Wave backends (pool, batch)
-        override the whole method.
+        backend previously duplicated.  The lockstep batch backend
+        overrides the whole method.
         """
         out: List[SegmentResult] = []
         remaining = ctx.total_cycles_remaining
@@ -144,7 +143,7 @@ class SimBackend:
         """Fold accumulated activity into ``result.profile``."""
 
     def close(self) -> None:
-        """Release pools/files; called exactly once, even on error."""
+        """Release sims/files; called exactly once, even on error."""
 
 
 #: compatibility alias -- the protocol's pre-rename spelling
@@ -172,7 +171,7 @@ def simulate_segment(target, sim, path: PendingPath, path_id: int,
                      per_path: int, total_remaining: Optional[int],
                      cycle_observer=None) -> SegmentResult:
     """The per-cycle segment loop (Algorithm 1's inner loop), shared by
-    the serial, event and pool backends.
+    the serial and event backends.
 
     Restores ``path.state`` into ``sim``, applies the forked branch
     decision as a one-cycle force, then advances cycle by cycle:

@@ -54,7 +54,6 @@ class CoAnalysisEngine:
                  tracer=None,
                  backend: str = "cycle",
                  budget=None,
-                 quarantine=None,
                  segment_cache=None,
                  lanes: Optional[int] = None):
         self.target = target
@@ -92,8 +91,6 @@ class CoAnalysisEngine:
         #: governor) ending the run as a PartialResult when a deadline,
         #: RSS ceiling, or frontier/segment cap trips
         self.budget = budget
-        #: optional quarantine threshold / registry for poison segments
-        self.quarantine = quarantine
         #: optional :class:`~repro.store.segments.SegmentResultCache`:
         #: settled segments whose (run, state, decision) fingerprints
         #: match a prior run are replayed instead of re-simulated
@@ -123,6 +120,5 @@ class CoAnalysisEngine:
             max_paths=self.max_paths, strict=self.strict,
             application=self.application, checkpoint=self.checkpoint,
             resume=self.resume, tracer=self.tracer,
-            budget=self.budget, quarantine=self.quarantine,
-            segment_cache=self.segment_cache)
+            budget=self.budget, segment_cache=self.segment_cache)
         return kernel.run()

@@ -10,9 +10,8 @@ of simulating a path segment:
   ``backend="event"`` it is an :class:`EventSimBridge`, a
   CycleSim-compatible facade over the event-driven kernel, so the
   paper's literal simulator runs the exact same harness and kernel.
-* the pool executor for wave parallelism lives in
-  :mod:`repro.coanalysis.parallel` (its worker entry points must stay
-  importable at module top level for ``spawn`` pickling).
+* the lane-packed batch executor lives in
+  :mod:`repro.coanalysis.batch_executor`.
 
 The executor owns *how* a segment simulates; halting policy, CSM
 merging, forking, budgets and checkpoints all live in the kernel.

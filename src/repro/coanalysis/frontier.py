@@ -4,16 +4,15 @@ The paper's tool explores its stack ``U`` depth-first, but the order in
 which pending paths are simulated is a *policy*, not part of the
 algorithm's soundness argument: any order converges to the same
 exercisable-gate dichotomy once the CSM's repository saturates (only
-path/merge counts shift, exactly as between the paper's serial and
-parallel runs).  Symbolic engines in the KLEE lineage make the same
-split -- one exploration core, interchangeable "searchers" -- and that
-separation is what lets scaling strategies compose.
+path/merge counts shift).  Symbolic engines in the KLEE lineage make the
+same split -- one exploration core, interchangeable "searchers" -- and
+that separation is what lets scaling strategies compose.
 
 Three strategies ship:
 
 * :class:`DepthFirstFrontier` -- the paper's LIFO stack (serial default);
-* :class:`BreadthFirstFrontier` -- FIFO, the wave-parallel engine's
-  natural order (whole frontier dispatched per wave);
+* :class:`BreadthFirstFrontier` -- FIFO, the batch engine's natural
+  order (whole frontier packed into lanes per wave);
 * :class:`NoveltyFrontier` -- prefers paths forked at rarely-seen halt
   PCs, steering simulation toward unexplored program regions first.
 """

@@ -1,8 +1,8 @@
 """The shared exploration kernel (Algorithm 1, engine-agnostic).
 
 The paper's explore/halt/fork/merge loop is the same whether segments
-run on the compiled cycle engine, the event-driven engine, or a
-supervised worker pool -- only *how a batch of segments is simulated*
+run on the compiled cycle engine, the event-driven engine, or the
+lane-packed batch engine -- only *how a batch of segments is simulated*
 differs.  :class:`ExplorationKernel` owns everything else:
 
 * the frontier of pending paths (a pluggable
@@ -16,10 +16,7 @@ differs.  :class:`ExplorationKernel` owns everything else:
   deadlines, the RSS memory watchdog, frontier/segment caps, and
   SIGINT/SIGTERM turned into cooperative stops -- all ending the run as
   a first-class :class:`~repro.coanalysis.results.PartialResult` with a
-  final checkpoint, never a mid-flight exception;
-* poison-segment quarantine (:mod:`repro.resilience.quarantine`):
-  pending paths whose segment key is quarantined are skipped with a
-  recorded verdict instead of being re-dispatched forever.
+  final checkpoint, never a mid-flight exception.
 
 Backends plug in through the :class:`~repro.coanalysis.backend.SimBackend`
 protocol (``SegmentExecutor`` is its compatibility alias): ``prepare()``
@@ -27,7 +24,7 @@ builds the reset+symbolic initial state, ``run_batch()`` simulates
 pending paths up to their halt/done/budget boundary, and the activity
 hooks round-trip toggle planes for checkpointing.  A backend never
 touches the CSM or the frontier -- that is the point of the extraction:
-every scaling or resilience feature lands in this file once, not four
+every scaling or resilience feature lands in this file once, not three
 times.  The shared segment loop backends build on lives in
 :mod:`repro.coanalysis.backend`.
 """
@@ -35,19 +32,17 @@ times.  The shared segment loop backends build on lives in
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 from ..resilience.checkpoint import (as_checkpointer, decode_run_payload,
                                      encode_run_payload)
 from ..resilience.governor import TRACE_KIND_FOR_REASON, as_governor
-from ..resilience.quarantine import as_quarantine, segment_key
 from ..sim.activity import ToggleProfile
 from ..sim.state import SimState
 from .backend import (BatchContext, PendingPath, SegmentExecutor,
                       SegmentResult, SimBackend)
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
-                      PartialResult, PathRecord, ResumeMismatch, RunEvent,
-                      RunInterrupted)
+                      PartialResult, PathRecord, ResumeMismatch, RunEvent)
 
 __all__ = [
     "BatchContext", "ExplorationKernel", "PendingPath", "SegmentExecutor",
@@ -68,10 +63,8 @@ class ExplorationKernel:
                  application: str = "app",
                  checkpoint=None,
                  resume: bool = False,
-                 stop_after_batches: Optional[int] = None,
                  tracer=None,
                  budget=None,
-                 quarantine=None,
                  segment_cache=None):
         from ..csm.manager import ConservativeStateManager
         from .frontier import make_frontier
@@ -86,10 +79,8 @@ class ExplorationKernel:
         self.application = application
         self.checkpoint = as_checkpointer(checkpoint)
         self.resume = resume
-        self.stop_after_batches = stop_after_batches
         self.tracer = tracer if tracer is not None else Tracer()
         self.governor = as_governor(budget)
-        self.quarantine = as_quarantine(quarantine)
         #: optional :class:`~repro.store.segments.SegmentResultCache`:
         #: settled segments are replayed instead of re-simulated.  The
         #: executor switches to capture mode so the kernel owns profile
@@ -152,8 +143,6 @@ class ExplorationKernel:
             f0 = time.perf_counter()
             executor.finalize(result)
             result.csm_stats = self.csm.stats.snapshot()
-            if self.quarantine is not None:
-                result.quarantine_verdicts = self.quarantine.summary()
             result.wall_seconds = time.perf_counter() - t0
             tracer.emit("phase", data={"phase": "finalize",
                                        "seconds":
@@ -189,23 +178,8 @@ class ExplorationKernel:
             if self.checkpoint is not None and \
                     self.checkpoint.due(self.batches_done):
                 self._write_checkpoint(result)
-            if self.stop_after_batches is not None and \
-                    self.batches_done >= self.stop_after_batches:
-                if self.checkpoint is not None:
-                    self._write_checkpoint(result)
-                tracer.emit("interrupt", frontier=len(self.frontier),
-                            detail="batch budget reached")
-                raise RunInterrupted(
-                    f"stopped after {self.batches_done} waves with "
-                    f"{len(self.frontier)} paths pending; resume from "
-                    f"the checkpoint to continue",
-                    stop_reason="wave_budget")
 
             batch = self.frontier.pop_batch(executor.batch_limit)
-            if self.quarantine is not None and self.quarantine.active:
-                batch = self._skip_quarantined(batch, result)
-                if not batch:
-                    continue
             cache = self.segment_cache
             keys = hits = None
             pending = batch
@@ -225,7 +199,6 @@ class ExplorationKernel:
                 tracer.emit("segment_start",
                             path_id=ctx.first_path_id + offset,
                             pc=path.state.pc)
-            journal_mark = len(result.journal)
             try:
                 segments = executor.run_batch(pending, ctx) \
                     if pending else []
@@ -241,13 +214,6 @@ class ExplorationKernel:
                             detail="keyboard interrupt")
                 raise
             self.batches_done += 1
-            # mirror resilience journal entries (worker retries, serial
-            # degradation) into the trace stream
-            for event in result.journal[journal_mark:]:
-                if event.kind == "retry":
-                    tracer.emit("retry", detail=event.detail)
-                elif event.kind == "degraded":
-                    tracer.emit("degraded", detail=event.detail)
             if cache is not None:
                 # splice memoized segments back into batch order, store
                 # the freshly simulated ones, and account hits/misses --
@@ -282,7 +248,7 @@ class ExplorationKernel:
             tracer.emit("batch", frontier=len(self.frontier),
                         data=batch_data)
 
-    # -- governed stop / quarantine -----------------------------------------
+    # -- governed stop ------------------------------------------------------
     def _governed_stop(self, stop, result: CoAnalysisResult) -> None:
         """End the run cooperatively: flush a checkpoint, record why."""
         if self.checkpoint is not None:
@@ -296,25 +262,6 @@ class ExplorationKernel:
             frontier=len(self.frontier), detail=stop.detail,
             data={"reason": stop.reason})
         self._stop = stop
-
-    def _skip_quarantined(self, batch: List[PendingPath],
-                          result: CoAnalysisResult) -> List[PendingPath]:
-        """Seal pending paths whose segment key is quarantined with a
-        recorded verdict; return the paths still worth dispatching."""
-        live: List[PendingPath] = []
-        for path in batch:
-            key = segment_key(path.state.to_bytes(), path.forced_decision)
-            if self.quarantine.is_quarantined(key):
-                result.journal.append(RunEvent(
-                    "quarantined", wave=self.batches_done,
-                    segment=len(result.path_records),
-                    detail=f"pending path skipped: key {key} "
-                           f"(pc={path.state.pc})"))
-                self._absorb(path, SegmentResult("quarantined", None, 0),
-                             result)
-            else:
-                live.append(path)
-        return live
 
     # -- segment bookkeeping ------------------------------------------------
     def _absorb(self, path: PendingPath, segment: SegmentResult,
@@ -338,10 +285,6 @@ class ExplorationKernel:
                     f"cycle budget exhausted on path {path_id} "
                     f"(per-path {self.max_cycles_per_path}); "
                     f"analysis unsound")
-        elif outcome == "quarantined":
-            result.quarantined_paths += 1
-            tracer.emit("quarantined", path_id=path_id,
-                        pc=path.state.pc, frontier=len(self.frontier))
         elif outcome == "halt":
             pc = segment.end_pc
             if pc is None:
@@ -399,24 +342,18 @@ class ExplorationKernel:
                       "splits": result.splits,
                       "simulated_cycles": result.simulated_cycles,
                       "truncated_paths": result.truncated_paths,
-                      "quarantined_paths": result.quarantined_paths,
                       "segment_cache_hits": result.segment_cache_hits,
                       "segment_cache_misses":
                       result.segment_cache_misses,
                       "batches_done": self.batches_done},
             path_records=list(result.path_records),
             per_path_exercised=list(result.per_path_exercised),
-            journal=list(result.journal),
-            quarantine=(None if self.quarantine is None
-                        else self.quarantine.snapshot_state()))
+            journal=list(result.journal))
         self.checkpoint.write(payload, progress=self.batches_done)
         if self.segment_cache is not None:
             # flush the memo index at the same cadence as the journal,
             # so a crash loses at most one checkpoint interval of memos
             self.segment_cache.flush()
-        hook = getattr(self.executor, "on_checkpoint", None)
-        if hook is not None:
-            hook()
         result.journal.append(RunEvent(
             "checkpoint", wave=self.batches_done,
             segment=len(result.path_records),
@@ -464,8 +401,6 @@ class ExplorationKernel:
         result.path_records = list(payload["path_records"])
         result.per_path_exercised = list(payload["per_path_exercised"])
         result.journal = list(payload["journal"])
-        if self.quarantine is not None and payload.get("quarantine"):
-            self.quarantine.restore_state(payload["quarantine"])
         result.resumed = True
         for blob, forced, depth, parent, origin_pc in payload["frontier"]:
             self.frontier.push(PendingPath(
@@ -473,9 +408,6 @@ class ExplorationKernel:
                 origin_pc))
         if payload.get("strategy") == self.frontier.name:
             self.frontier.restore_meta(payload.get("strategy_meta", {}))
-        hook = getattr(self.executor, "on_resume", None)
-        if hook is not None:
-            hook(self.batches_done)
         result.journal.append(RunEvent(
             "resume", wave=self.batches_done,
             segment=len(result.path_records),

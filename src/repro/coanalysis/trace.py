@@ -3,7 +3,7 @@
 The :class:`~repro.coanalysis.kernel.ExplorationKernel` narrates every
 step of Algorithm 1 as a stream of typed :class:`TraceEvent` records --
 ``segment_start`` / ``halt`` / ``fork`` / ``merge`` / ``checkpoint`` /
-``retry`` and friends -- and fans them out to pluggable sinks:
+``resume`` and friends -- and fans them out to pluggable sinks:
 
 * :class:`JsonlTraceSink` appends one JSON object per line, so a long
   run leaves a machine-readable log that ``jq``/pandas can slice;
@@ -14,7 +14,7 @@ step of Algorithm 1 as a stream of typed :class:`TraceEvent` records --
 * :class:`ProgressLine` keeps a single live status line on a terminal.
 
 Events describe the *kernel's* view of the run, so the same vocabulary
-applies to the serial, event-driven, and wave-parallel backends.
+applies to the serial, event-driven, and lane-batched backends.
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ EVENT_KINDS = (
     "merge",          # CSM covered a state; path discarded
     "checkpoint",     # a journal record was written
     "resume",         # run continued from a checkpoint record
-    "retry",          # a worker failure was absorbed by re-dispatch
-    "degraded",       # the pool was exhausted; run fell back to serial
     "interrupt",      # the run was interrupted (checkpoint written)
     "deadline",       # governor: wall-clock/segment budget spent
     "mem_pressure",   # governor: RSS ceiling or frontier cap reached
     "interrupted",    # governor: SIGINT/SIGTERM turned into a stop
-    "quarantined",    # a poison segment was quarantined and skipped
     "cache_hit",      # a settled segment was replayed from the store
     "cache_miss",     # a segment was simulated and memoized
     "batch",          # one frontier batch (wave) completed
@@ -164,8 +161,6 @@ class RunMetrics:
     batches: int = 0
     checkpoints: int = 0
     resumes: int = 0
-    retries: int = 0
-    quarantined: int = 0                # quarantined events
     cache_hits: int = 0                 # cache_hit events (replayed)
     cache_misses: int = 0               # cache_miss events (memoized)
     #: why a governed run stopped early (None = ran to completion)
@@ -187,8 +182,6 @@ class RunMetrics:
             "batches": self.batches,
             "checkpoints": self.checkpoints,
             "resumes": self.resumes,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "stop_reason": self.stop_reason,
@@ -239,10 +232,6 @@ class MetricsAggregator(TraceSink):
                         "cache_misses"):
                 if key in event.data:
                     setattr(m, key, event.data[key])
-        elif event.kind == "retry":
-            m.retries += 1
-        elif event.kind == "quarantined":
-            m.quarantined += 1
         elif event.kind == "cache_hit":
             m.cache_hits += 1
         elif event.kind == "cache_miss":

@@ -36,7 +36,7 @@ from ..workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 
 DESIGN_ORDER = ["bm32", "omsp430", "dr5"]     # paper table column order
 
-ENGINES = ("serial", "event", "parallel", "batch")
+ENGINES = ("serial", "event", "batch")
 
 
 def _make_tracer(trace, progress: bool) -> Optional[Tracer]:
@@ -82,11 +82,11 @@ def pair_fingerprint(design: str, benchmark: str,
     would key its caches.
 
     Builds the target and constraint set itself and applies the same
-    normalizations ``run_one`` applies before hashing (the parallel
-    engine runs without a total-cycle budget; the lane width defaults to
-    64 on the batch engine and is ``None`` elsewhere), so a submission
-    keyed on this digest shares segment caches and run manifests with a
-    direct ``repro run --cache`` of the same configuration.
+    normalization ``run_one`` applies before hashing (the lane width
+    defaults to 64 on the batch engine and is ``None`` elsewhere), so a
+    submission keyed on this digest shares segment caches and run
+    manifests with a direct ``repro run --cache`` of the same
+    configuration.
     """
     workload = WORKLOADS[benchmark]
     target = build_target(design, workload)
@@ -99,8 +99,7 @@ def pair_fingerprint(design: str, benchmark: str,
         design, benchmark, strategy or UberConservative(),
         target, constraints, engine=engine, frontier=frontier,
         max_cycles_per_path=max_cycles_per_path,
-        max_total_cycles=(None if engine == "parallel"
-                          else max_total_cycles),
+        max_total_cycles=max_total_cycles,
         lanes=((lanes or 64) if engine == "batch" else None))
 
 
@@ -134,22 +133,19 @@ def run_one(design: str, benchmark: str,
             use_constraints: bool = True,
             checkpoint=None,
             resume: bool = False,
-            workers: int = 1,
             frontier: str = "dfs",
-            engine: Optional[str] = None,
+            engine: str = "serial",
             trace=None,
             progress: bool = False,
             budget=None,
-            quarantine=None,
             cache=None,
             lanes: Optional[int] = None) -> CoAnalysisResult:
     """One symbolic co-analysis run.
 
     ``strategy`` is the CSM merge strategy; ``frontier`` schedules the
     path frontier (``dfs``/``bfs``/``novelty``).  ``engine`` picks the
-    simulation backend (``serial``, ``event``, ``parallel`` or
-    ``batch``; default: serial, or parallel when ``workers > 1``) -- all
-    of them run through the same
+    simulation backend (``serial``, the default, ``event`` or
+    ``batch``) -- all of them run in this process, through the same
     :class:`~repro.coanalysis.kernel.ExplorationKernel`.  ``batch``
     simulates the whole frontier in lockstep on the bit-packed
     lane-parallel engine (``lanes`` paths per settle -- any multiple of
@@ -161,9 +157,7 @@ def run_one(design: str, benchmark: str,
     status line.  ``budget`` is an optional
     :class:`~repro.resilience.governor.RunBudget` governing the run
     (deadline / RSS ceiling / frontier and segment caps -- a tripped
-    limit returns a :class:`~repro.coanalysis.results.PartialResult`);
-    ``quarantine`` is a poison-segment threshold (int) or
-    :class:`~repro.resilience.quarantine.QuarantineRegistry`.
+    limit returns a :class:`~repro.coanalysis.results.PartialResult`).
 
     ``cache`` is a directory (or :class:`~repro.store.ContentStore`)
     holding a content-addressed artifact store: settled segment results
@@ -172,8 +166,6 @@ def run_one(design: str, benchmark: str,
     segments instead of re-simulating them, and a ``run-<digest>``
     manifest records the run and its artifacts.
     """
-    if engine is None:
-        engine = "parallel" if workers > 1 else "serial"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: "
                          + ", ".join(ENGINES))
@@ -198,39 +190,23 @@ def run_one(design: str, benchmark: str,
             design, benchmark, strategy, target, constraints,
             engine=engine, frontier=frontier,
             max_cycles_per_path=max_cycles_per_path,
-            # the parallel engine runs without a total-cycle budget
-            max_total_cycles=(None if engine == "parallel"
-                              else max_total_cycles),
+            max_total_cycles=max_total_cycles,
             # the lane width is part of the batch engine's identity: a
             # warm cache at one width misses cleanly at another
             lanes=((lanes or 64) if engine == "batch" else None))
         segment_cache = SegmentResultCache(store, fp.digest)
 
-    if engine == "parallel":
-        from ..coanalysis.parallel import (ParallelCoAnalysis,
-                                           WorkloadTargetFactory)
-        runner = ParallelCoAnalysis(WorkloadTargetFactory(design, benchmark),
-                                    csm=csm, workers=max(1, workers),
-                                    max_cycles_per_path=max_cycles_per_path,
-                                    application=benchmark,
-                                    checkpoint=checkpoint, resume=resume,
-                                    frontier=frontier, tracer=tracer,
-                                    budget=budget, quarantine=quarantine,
-                                    segment_cache=segment_cache)
-    else:
-        runner = CoAnalysisEngine(target, csm=csm,
-                                  max_cycles_per_path=max_cycles_per_path,
-                                  max_total_cycles=max_total_cycles,
-                                  application=benchmark,
-                                  checkpoint=checkpoint, resume=resume,
-                                  frontier=frontier, tracer=tracer,
-                                  backend={"serial": "cycle",
-                                           "event": "event",
-                                           "batch": "batch"}[engine],
-                                  budget=budget, quarantine=quarantine,
-                                  segment_cache=segment_cache,
-                                  lanes=lanes)
-    result = runner.run()
+    result = CoAnalysisEngine(target, csm=csm,
+                              max_cycles_per_path=max_cycles_per_path,
+                              max_total_cycles=max_total_cycles,
+                              application=benchmark,
+                              checkpoint=checkpoint, resume=resume,
+                              frontier=frontier, tracer=tracer,
+                              backend={"serial": "cycle",
+                                       "event": "event",
+                                       "batch": "batch"}[engine],
+                              budget=budget, segment_cache=segment_cache,
+                              lanes=lanes).run()
     if store is not None:
         _register_run(store, fp, result, checkpoint, trace)
     return result

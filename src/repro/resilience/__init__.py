@@ -1,54 +1,40 @@
 """Fault tolerance for long co-analysis runs.
 
 Algorithm 1 runs are open-ended (path explosion can push a run to the
-full 2M-cycle budget across 100k paths) and the parallel mode hands
-states to separate worker processes -- so this package makes the
+full 2M-cycle budget across 100k paths), so this package makes the
 exploration layer survive the failures that long runs actually hit:
 
 * :mod:`~repro.resilience.checkpoint` -- an append-safe on-disk journal
   of the full Algorithm 1 state (pending-path stack, CSM repository,
   accumulated toggle activity) so interrupted runs resume instead of
   restarting;
-* :mod:`~repro.resilience.supervisor` -- worker-pool supervision:
-  per-segment wall-clock timeouts, bounded retry with exponential
-  backoff, re-dispatch of segments lost to dead or hung workers, and
-  graceful degradation to serial execution;
-* :mod:`~repro.resilience.faults` -- a deterministic, seedable
-  fault-injection harness (worker crashes, hangs, memory spikes,
-  corrupted state bytes, mid-wave SIGTERM) so the supervision logic is
-  testable in CI;
 * :mod:`~repro.resilience.governor` -- the run governor: wall-clock
   deadlines, the RSS memory watchdog, frontier/segment caps, and
   SIGINT/SIGTERM turned into cooperative checkpoint-and-stop;
-* :mod:`~repro.resilience.quarantine` -- poison-segment quarantine:
-  a (pc, state) segment that keeps killing workers is skipped with a
-  recorded verdict instead of burning the failure budget;
 * :mod:`~repro.resilience.artifacts` -- crash-consistent artifact
   writes (temp file + fsync + ``os.replace``) for reports, benches,
-  traces, and waveforms.
+  traces, and waveforms;
+* :mod:`~repro.resilience.faults` -- :func:`torn_write`, the
+  partial-write crash the checkpoint and artifact tests replay.
+
+A co-analysis always runs in one process; the job service
+(:mod:`repro.service`) supervises its own worker processes and retries
+a job whose worker died.
 """
 
 from .artifacts import (atomic_open, atomic_write_bytes, atomic_write_json,
                         atomic_write_text, fsync_dir)
 from .checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpointer,
                          load_checkpoint)
-from .faults import FaultPlan, FaultSpec, InjectedFault, torn_write
+from .faults import torn_write
 from .governor import (RunBudget, RunGovernor, StopRequest, as_governor,
                        current_rss_mb)
-from .quarantine import (Quarantined, QuarantineRecord, QuarantineRegistry,
-                         as_quarantine, segment_key)
-from .supervisor import (DegradedToSerialWarning, PoolExhausted,
-                         PoolSupervisor, SupervisionPolicy)
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION", "Checkpointer", "load_checkpoint",
-    "FaultPlan", "FaultSpec", "InjectedFault", "torn_write",
-    "DegradedToSerialWarning", "PoolExhausted", "PoolSupervisor",
-    "SupervisionPolicy",
+    "torn_write",
     "RunBudget", "RunGovernor", "StopRequest", "as_governor",
     "current_rss_mb",
-    "Quarantined", "QuarantineRecord", "QuarantineRegistry",
-    "as_quarantine", "segment_key",
     "atomic_open", "atomic_write_bytes", "atomic_write_json",
     "atomic_write_text", "fsync_dir",
 ]

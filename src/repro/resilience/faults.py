@@ -1,158 +1,15 @@
-"""Deterministic fault injection for the exploration run lifecycle.
+"""Crash simulation for artifact and checkpoint tests.
 
-The supervisor's recovery paths (timeout, retry, pool rebuild, serial
-degradation), the quarantine registry, and the run governor only earn
-their keep if CI can actually exercise them, so this harness injects
-the failure classes long runs hit in practice at chosen
-(wave, segment) coordinates:
-
-* ``crash``   -- the worker raises (the parent sees it immediately);
-* ``die``     -- the worker process hard-exits (seen as a timeout);
-* ``hang``    -- the worker sleeps past any sane segment budget;
-* ``corrupt`` -- the state bytes are mangled in hand-off (parent side;
-  the pristine bytes are kept for the retry, modelling a transient
-  transport fault);
-* ``memspike`` -- the worker balloons its heap before failing, the
-  memory-exhaustion signature of a path-explosion blowup;
-* ``sigterm`` -- the *parent* receives SIGTERM mid-wave, exactly what a
-  batch scheduler's preemption delivers (the run governor turns it into
-  a graceful checkpoint-and-stop).
-
-Worker-side faults are carried inside the dispatched job, so they fire
-*inside the worker process* exactly where a real failure would.  By
-default a spec fires only on a segment's first attempt, so recovery
-succeeds; ``persistent=True`` makes it fire on every attempt (a poison
-segment -- drives the quarantine and degradation paths), and
-``attempt=N`` pins a spec to one retry attempt so a single segment can
-fail *differently* on consecutive attempts (mixed-kind chaos).
-
-:func:`torn_write` simulates the partial-write crash window for
-artifact/checkpoint tests: it writes only a prefix of the intended
-bytes, the on-disk state a kill mid-``write()`` leaves behind.
+:func:`torn_write` simulates the partial-write crash window: it writes
+only a prefix of the intended bytes, the on-disk state a kill
+mid-``write()`` leaves behind.  The checkpoint journal's torn-tail
+recovery and the atomic artifact writer are tested against it.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from random import Random
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
-
-#: injectable failure classes
-FAULT_KINDS = ("crash", "die", "hang", "corrupt", "memspike", "sigterm")
-
-#: kinds applied on the parent (dispatch) side rather than in the worker
-PARENT_SIDE_KINDS = ("corrupt", "sigterm")
-
-#: bytes a ``memspike`` fault allocates (and touches) before failing
-MEMSPIKE_BYTES = 64 * 1024 * 1024
-
-
-class InjectedFault(RuntimeError):
-    """Raised inside a worker by a ``crash``/``memspike`` fault."""
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One scheduled fault.
-
-    Attributes:
-        wave: wave index (0 = the initial single-path wave).
-        segment: segment index within the wave.
-        kind: one of :data:`FAULT_KINDS`.
-        persistent: fire on every attempt, not just the first.
-        attempt: fire only on this attempt number (``None`` = the
-            default first-attempt-only / persistent behavior).  Several
-            specs may share a (wave, segment) coordinate as long as
-            their ``attempt`` values differ.
-    """
-
-    wave: int
-    segment: int
-    kind: str
-    persistent: bool = False
-    attempt: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; "
-                             f"known: {FAULT_KINDS}")
-
-    def fires_on(self, attempt: int) -> bool:
-        if self.attempt is not None:
-            return attempt == self.attempt
-        return attempt == 0 or self.persistent
-
-
-class FaultPlan:
-    """A deterministic schedule of :class:`FaultSpec` injections."""
-
-    def __init__(self, specs: Iterable[FaultSpec] = ()):
-        self.specs: List[FaultSpec] = list(specs)
-        by_coord = {}
-        for spec in self.specs:
-            by_coord.setdefault((spec.wave, spec.segment), []).append(spec)
-        self._by_coord = by_coord
-        self.fired: List[Tuple[int, int, int, str]] = []
-
-    @classmethod
-    def random(cls, seed: int, n_faults: int, max_wave: int = 8,
-               max_segment: int = 8,
-               kinds: Sequence[str] = FAULT_KINDS) -> "FaultPlan":
-        """A reproducible plan: the same seed always yields the same
-        (wave, segment, kind) schedule."""
-        rng = Random(seed)
-        seen = set()
-        specs = []
-        while len(specs) < n_faults:
-            coord = (rng.randrange(max_wave), rng.randrange(max_segment))
-            if coord in seen:
-                continue
-            seen.add(coord)
-            specs.append(FaultSpec(coord[0], coord[1], rng.choice(kinds)))
-        return cls(specs)
-
-    # -- dispatch-side hooks ----------------------------------------------
-    def fault_for(self, wave: int, segment: int,
-                  attempt: int) -> Optional[str]:
-        """The fault kind to apply to this dispatch, if any."""
-        for spec in self._by_coord.get((wave, segment), ()):
-            if spec.fires_on(attempt):
-                self.fired.append((wave, segment, attempt, spec.kind))
-                return spec.kind
-        return None
-
-    def decorate(self, wave: int, segment: int, attempt: int,
-                 state_bytes: bytes, forced) -> Tuple[bytes, object,
-                                                      Optional[str]]:
-        """Turn a pending (state, forced) pair into the job actually
-        dispatched, applying any scheduled fault."""
-        kind = self.fault_for(wave, segment, attempt)
-        if kind == "corrupt":
-            return corrupt_bytes(state_bytes), forced, None
-        if kind == "sigterm":
-            # preemption chaos: the parent process is signalled mid-wave;
-            # under a governed run this requests a graceful stop, without
-            # one it takes the default (fatal) disposition
-            os.kill(os.getpid(), signal.SIGTERM)
-            return state_bytes, forced, None
-        return state_bytes, forced, kind
-
-
-def corrupt_bytes(blob: bytes, stride: int = 37) -> bytes:
-    """Deterministically flip bytes throughout ``blob``.
-
-    The versioned :meth:`SimState.to_bytes` frame carries a CRC, so any
-    flip inside the payload is detected on deserialization rather than
-    yielding a plausible-but-wrong state.
-    """
-    mangled = bytearray(blob)
-    for i in range(0, len(mangled), stride):
-        mangled[i] ^= 0xA5
-    return bytes(mangled)
+from typing import Union
 
 
 def torn_write(path: Union[str, Path], blob: bytes,
@@ -166,27 +23,3 @@ def torn_write(path: Union[str, Path], blob: bytes,
     if not 0.0 <= keep <= 1.0:
         raise ValueError("keep must be within [0, 1]")
     Path(path).write_bytes(blob[:int(len(blob) * keep)])
-
-
-def execute_fault(kind: Optional[str]) -> None:
-    """Run inside a worker, before the segment simulates.
-
-    ``crash`` raises (an exception the parent sees immediately); ``die``
-    hard-kills the worker process (the parent sees a timeout and
-    re-dispatches); ``hang`` sleeps past any sane segment budget;
-    ``memspike`` balloons the worker heap, then fails like a crash.
-    """
-    if kind is None:
-        return
-    if kind == "crash":
-        raise InjectedFault("injected worker crash")
-    if kind == "memspike":
-        ballast = bytearray(MEMSPIKE_BYTES)
-        ballast[::4096] = b"\xa5" * len(ballast[::4096])   # touch pages
-        raise InjectedFault(
-            f"injected memory spike ({len(ballast)} bytes held)")
-    if kind == "die":                 # pragma: no cover - kills the process
-        os._exit(3)
-    if kind == "hang":                # pragma: no cover - reaped by terminate
-        time.sleep(3600)
-    raise ValueError(f"unknown fault kind {kind!r}")

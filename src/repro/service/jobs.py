@@ -91,7 +91,6 @@ class JobSpec:
     engine: str = "serial"
     frontier: str = "dfs"
     lanes: Optional[int] = None
-    workers: int = 1
     use_constraints: bool = True
     # -- per-job RunBudget quotas ------------------------------------------
     deadline_seconds: Optional[float] = None
@@ -128,9 +127,7 @@ class JobSpec:
         # resolve run_one's engine default here so equal submissions
         # fingerprint equally no matter how they spelled the default
         if data.get("engine") in (None, ""):
-            data["engine"] = ("parallel"
-                              if int(data.get("workers") or 1) > 1
-                              else "serial")
+            data["engine"] = "serial"
         spec = cls(**data)
         spec.validate()
         return spec
@@ -156,8 +153,6 @@ class JobSpec:
             if self.lanes <= 0 or self.lanes % 64:
                 raise JobSpecError(f"lanes must be a positive multiple "
                                    f"of 64, got {self.lanes}")
-        if self.workers < 1:
-            raise JobSpecError("workers must be >= 1")
         for name in ("deadline_seconds", "max_rss_mb", "max_frontier",
                      "max_segments", "shard_segments"):
             value = getattr(self, name)
@@ -295,7 +290,14 @@ class Job:
 
     @classmethod
     def from_manifest(cls, manifest: Dict) -> "Job":
-        spec = JobSpec.from_dict(manifest["spec"])
+        raw = manifest["spec"]
+        # manifests stored while specs still had a worker-pool size
+        # carry "workers": 1 (a single-process run), which is every run
+        # today; any other value named the removed pool engine and
+        # stays an unknown field
+        if isinstance(raw, dict) and raw.get("workers") == 1:
+            raw = {k: v for k, v in raw.items() if k != "workers"}
+        spec = JobSpec.from_dict(raw)
         job = cls(job_id=str(manifest["job"]), spec=spec,
                   fingerprint=str(manifest["fingerprint"]),
                   state=str(manifest.get("state", "QUEUED")),

@@ -133,7 +133,7 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
                          strategy=CSM_STRATEGIES[spec.csm](),
                          use_constraints=spec.use_constraints,
                          checkpoint=str(ckpt), resume=resume,
-                         workers=spec.workers, frontier=spec.frontier,
+                         frontier=spec.frontier,
                          engine=spec.engine, trace=sink,
                          budget=governor, cache=store, lanes=spec.lanes)
     except Exception as exc:          # noqa: BLE001 -- verdict, not crash

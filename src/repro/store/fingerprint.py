@@ -2,11 +2,10 @@
 
 Every artifact-producing layer used to invent its own cache keying: the
 reporting grid pickled results under name-string paths guarded by a
-hand-bumped version constant, quarantine hashed ``(pc, state)`` blobs,
-compile caching keyed on object identity.  This module gives the four
-domain objects one stable digest each, so caches built on them
-*self-invalidate* the moment the underlying content actually changes --
-no constant to remember to bump:
+hand-bumped version constant, compile caching keyed on object
+identity.  This module gives the four domain objects one stable digest
+each, so caches built on them *self-invalidate* the moment the
+underlying content actually changes -- no constant to remember to bump:
 
 * :func:`fingerprint_netlist` -- the circuit's structure (named nets,
   cell kinds, connections), independent of construction order and of

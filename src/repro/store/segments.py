@@ -29,8 +29,8 @@ from typing import Dict, Optional
 
 from .content import ContentStore, StoreError
 
-#: segment outcomes worth memoizing.  ``quarantined`` is excluded: no
-#: simulation happened, and the quarantine registry owns that verdict.
+#: the segment outcomes a backend reports; a stored record naming any
+#: other outcome is unreplayable
 _CACHEABLE = ("done", "halt", "budget")
 
 

@@ -1,32 +1,27 @@
-"""Integration: faulted and interrupted runs converge to the fault-free
-answer (ISSUE 1 acceptance tests).
+"""Integration: interrupted runs converge to the uninterrupted answer.
 
-Worker death, hangs, and corrupted state hand-offs must be absorbed by
-the supervision layer, and a checkpointed run killed partway through
-must resume to the same exercisable-gate dichotomy as an uninterrupted
-run -- never a silently different answer.
+A checkpointed run killed partway through (^C mid-segment) or stopped
+by its governor must resume to the same exercisable-gate dichotomy as
+an uninterrupted run -- never a silently different answer -- and a
+checkpoint must only ever resume the run it belongs to.
 
 The whole suite re-runs under any frontier scheduling strategy: set
 ``REPRO_FRONTIER`` (``dfs``/``bfs``/``novelty``) to pin the schedule --
-CI runs the dfs and bfs legs -- since fault recovery must be
+CI runs the dfs and bfs legs -- since resumption must be
 order-independent.  ``REPRO_LANES`` (a multiple of 64) widens the
 batched engine's lane planes the same way -- CI runs a 64/128/256
 matrix -- since interrupt/resume must be lane-width-independent too.
 """
 
 import os
-import warnings
 
 import pytest
 
 from repro.coanalysis.engine import CoAnalysisEngine
-from repro.coanalysis.parallel import (ParallelCoAnalysis,
-                                       WorkloadTargetFactory)
-from repro.coanalysis.results import ResumeMismatch, RunInterrupted
+from repro.coanalysis.results import PartialResult, ResumeMismatch
 from repro.csm.manager import ConservativeStateManager
 from repro.reporting.runner import run_one
-from repro.resilience import (DegradedToSerialWarning, FaultPlan, FaultSpec,
-                              SupervisionPolicy)
+from repro.resilience import RunBudget
 from repro.workloads import WORKLOADS, build_target
 
 DESIGN, BENCH = "bm32", "Div"
@@ -40,21 +35,12 @@ LANES = int(os.environ["REPRO_LANES"]) if os.environ.get("REPRO_LANES") \
 
 pytestmark = pytest.mark.timeout(600)
 
-FAST_POLICY = dict(segment_timeout=20.0, backoff_base=0.01,
-                   max_pool_restarts=3)
-
 
 @pytest.fixture(scope="module")
-def fault_free():
-    """Serial, fault-free reference run (the ground truth)."""
+def uninterrupted():
+    """Serial, uninterrupted reference run (the ground truth)."""
     return run_one(DESIGN, BENCH, use_constraints=False,
                    frontier=FRONTIER or "dfs")
-
-
-def make_parallel(**kw):
-    kw.setdefault("frontier", FRONTIER)
-    return ParallelCoAnalysis(WorkloadTargetFactory(DESIGN, BENCH),
-                              workers=2, application=BENCH, **kw)
 
 
 def make_serial(**kw):
@@ -70,105 +56,6 @@ def make_batch(**kw):
     target = build_target(DESIGN, WORKLOADS[BENCH])
     return CoAnalysisEngine(target, csm=ConservativeStateManager(),
                             application=BENCH, backend="batch", **kw)
-
-
-class TestFaultInjection:
-    def test_worker_death_and_corruption_recover(self, fault_free):
-        """A worker hard-killed mid-wave and one corrupted state
-        hand-off both recover automatically; the exercisable-gate set
-        equals the fault-free serial run's."""
-        plan = FaultPlan([FaultSpec(1, 0, "die"),
-                          FaultSpec(2, 0, "corrupt")])
-        engine = make_parallel(
-            fault_plan=plan,
-            policy=SupervisionPolicy(segment_timeout=6.0, backoff_base=0.01,
-                                     max_pool_restarts=3))
-        result = engine.run()
-        assert len(plan.fired) == 2
-        assert result.profile.exercisable_gates() == \
-            fault_free.profile.exercisable_gates()
-        # the death was seen as a lost segment and the pool was rebuilt
-        kinds = [e.kind for e in result.journal]
-        assert "timeout" in kinds and "pool_restart" in kinds
-        assert "corrupt" in kinds
-        assert engine.stats.segment_retries >= 2
-        assert engine.stats.worker_restarts >= 1
-        assert result.recovered_failures == engine.stats.segment_retries
-        assert not result.degraded_to_serial
-
-    def test_worker_crash_recovers(self, fault_free):
-        plan = FaultPlan([FaultSpec(1, 1, "crash")])
-        engine = make_parallel(fault_plan=plan,
-                               policy=SupervisionPolicy(**FAST_POLICY))
-        result = engine.run()
-        assert result.profile.exercisable_gates() == \
-            fault_free.profile.exercisable_gates()
-        assert engine.stats.segment_retries == 1
-        assert any(e.kind == "crash" for e in result.journal)
-
-    def test_mixed_fault_kinds_on_one_segment(self, fault_free):
-        """One segment failing *differently* on consecutive attempts --
-        hard death, then crash, then corrupted hand-off -- exhausts the
-        retry budget across heterogeneous kinds; the run degrades with
-        every kind journaled and still converges to the fault-free
-        answer."""
-        plan = FaultPlan([FaultSpec(1, 0, "die", attempt=0),
-                          FaultSpec(1, 0, "crash", attempt=1),
-                          FaultSpec(1, 0, "corrupt", attempt=2)])
-        engine = make_parallel(
-            fault_plan=plan,
-            policy=SupervisionPolicy(max_retries=2, segment_timeout=6.0,
-                                     backoff_base=0.01,
-                                     max_pool_restarts=3))
-        with pytest.warns(DegradedToSerialWarning):
-            result = engine.run()
-        fired_kinds = [kind for (_, _, _, kind) in plan.fired]
-        assert fired_kinds == ["die", "crash", "corrupt"]
-        kinds = [e.kind for e in result.journal]
-        assert "timeout" in kinds      # the die, seen as a lost segment
-        assert "crash" in kinds
-        assert "corrupt" in kinds
-        assert "degraded" in kinds
-        assert result.degraded_to_serial
-        assert result.profile.exercisable_gates() == \
-            fault_free.profile.exercisable_gates()
-
-    def test_mixed_faults_with_quarantine_keep_the_pool(self, fault_free):
-        """The same heterogeneous poison segment under a quarantine
-        registry: the failures count against one (pc, state) key, the
-        segment is quarantined before the retry budget dies, and the
-        pool never degrades."""
-        plan = FaultPlan([FaultSpec(1, 0, "die", attempt=0),
-                          FaultSpec(1, 0, "crash", attempt=1)])
-        engine = make_parallel(
-            fault_plan=plan, quarantine=2,
-            policy=SupervisionPolicy(max_retries=5, segment_timeout=6.0,
-                                     backoff_base=0.01,
-                                     max_pool_restarts=3))
-        result = engine.run()
-        assert not result.degraded_to_serial
-        assert result.quarantined_paths == 1
-        (verdict,) = result.quarantine_verdicts
-        assert verdict["kinds"] == ["timeout", "crash"]
-        assert result.profile.exercisable_gates() <= \
-            fault_free.profile.exercisable_gates()
-
-    def test_repeated_failures_degrade_to_serial(self, fault_free):
-        """A segment that fails on every attempt exhausts the retry
-        budget; the run degrades to serial with a structured warning and
-        still produces the fault-free answer."""
-        plan = FaultPlan([FaultSpec(1, 0, "crash", persistent=True)])
-        engine = make_parallel(
-            fault_plan=plan,
-            policy=SupervisionPolicy(max_retries=1, backoff_base=0.01,
-                                     segment_timeout=20.0))
-        with pytest.warns(DegradedToSerialWarning):
-            result = engine.run()
-        assert engine.stats.degraded
-        assert result.degraded_to_serial
-        assert any(e.kind == "degraded" for e in result.journal)
-        assert result.profile.exercisable_gates() == \
-            fault_free.profile.exercisable_gates()
 
 
 class TestInterruptResume:
@@ -204,30 +91,33 @@ class TestInterruptResume:
         assert resumed.simulated_cycles == baseline.simulated_cycles
         assert len(resumed.path_records) == len(baseline.path_records)
 
-    def test_parallel_stop_and_resume_matches_uninterrupted(
-            self, tmp_path):
-        baseline = make_parallel().run()
+    def test_serial_governed_stop_and_resume_matches_uninterrupted(
+            self, tmp_path, uninterrupted):
+        """A run stopped by its segment cap (a resumable PartialResult)
+        and resumed converges to the uninterrupted run's dichotomy,
+        path count and simulated cycles."""
+        ckpt = tmp_path / "governed.ckpt"
+        sliced = make_serial(checkpoint=str(ckpt),
+                             budget=RunBudget(max_segments=20)).run()
+        assert isinstance(sliced, PartialResult)
+        assert sliced.stop_reason == "segments"
+        assert sliced.pending_paths >= 1
 
-        ckpt = tmp_path / "parallel.ckpt"
-        sliced = make_parallel(checkpoint=str(ckpt), stop_after_waves=4)
-        with pytest.raises(RunInterrupted):
-            sliced.run()
-
-        resumed = make_parallel(checkpoint=str(ckpt), resume=True).run()
-        assert resumed.resumed
+        resumed = make_serial(checkpoint=str(ckpt), resume=True).run()
+        assert resumed.complete and resumed.resumed
         assert resumed.profile.exercisable_gates() == \
-            baseline.profile.exercisable_gates()
-        assert resumed.paths_created == baseline.paths_created
-        assert resumed.simulated_cycles == baseline.simulated_cycles
+            uninterrupted.profile.exercisable_gates()
+        assert resumed.paths_created == uninterrupted.paths_created
+        assert resumed.simulated_cycles == uninterrupted.simulated_cycles
 
     def test_batch_interrupt_and_resume_matches_uninterrupted(
-            self, tmp_path, fault_free):
+            self, tmp_path, uninterrupted):
         """The lane-parallel batched engine honors the same checkpoint
         contract: a ^C mid-wave flushes a final checkpoint, and the
-        resumed run converges to the fault-free serial dichotomy."""
+        resumed run converges to the uninterrupted serial dichotomy."""
         ckpt = tmp_path / "batch.ckpt"
         seen = [0]
-        budget = fault_free.simulated_cycles // 2
+        budget = uninterrupted.simulated_cycles // 2
 
         def killer(sim, path_id, cycle):
             seen[0] += 1
@@ -245,9 +135,9 @@ class TestInterruptResume:
         assert resumed.resumed
         assert any(e.kind == "resume" for e in resumed.journal)
         assert resumed.profile.exercisable_gates() == \
-            fault_free.profile.exercisable_gates()
-        assert resumed.paths_created == fault_free.paths_created
-        assert resumed.paths_skipped == fault_free.paths_skipped
+            uninterrupted.profile.exercisable_gates()
+        assert resumed.paths_created == uninterrupted.paths_created
+        assert resumed.paths_skipped == uninterrupted.paths_skipped
 
     def test_batch_checkpoint_rejected_by_other_engines(self, tmp_path):
         """Engine kinds are part of the checkpoint identity: a batch
@@ -276,6 +166,6 @@ class TestInterruptResume:
 
     def test_resume_without_record_starts_fresh(self, tmp_path):
         ckpt = tmp_path / "fresh.ckpt"
-        result = make_parallel(checkpoint=str(ckpt), resume=True).run()
+        result = make_serial(checkpoint=str(ckpt), resume=True).run()
         assert not result.resumed
         assert result.paths_created >= 1

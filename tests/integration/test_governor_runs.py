@@ -3,9 +3,7 @@
 A run that hits its wall-clock deadline, memory ceiling, frontier cap,
 or receives SIGTERM must flush a final checkpoint and return a
 first-class :class:`PartialResult` -- and resuming it must converge to
-the same answer as an unbounded run.  A poison segment that kills
-workers on every attempt must be quarantined with a recorded verdict
-instead of dragging the pool into serial degradation.
+the same answer as an unbounded run.
 """
 
 import os
@@ -14,21 +12,18 @@ import signal
 import pytest
 
 from repro.coanalysis.engine import CoAnalysisEngine
-from repro.coanalysis.parallel import (ParallelCoAnalysis,
-                                       WorkloadTargetFactory)
 from repro.coanalysis.results import PartialResult
 from repro.csm.manager import ConservativeStateManager
 from repro.reporting.runner import run_one
-from repro.resilience import (FaultPlan, FaultSpec, RunBudget, RunGovernor,
-                              SupervisionPolicy, load_checkpoint)
+from repro.resilience import RunBudget, RunGovernor, load_checkpoint
 from repro.workloads import WORKLOADS, build_target
 
 DESIGN, BENCH = "bm32", "Div"
 
 pytestmark = pytest.mark.timeout(600)
 
-FAST_POLICY = dict(segment_timeout=20.0, backoff_base=0.01,
-                   max_pool_restarts=3)
+#: the SIGTERM lands on this cycle of this path (a mid-run segment)
+SIGTERM_AT = (5, 1)
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +36,6 @@ def make_serial(**kw):
     target = build_target(DESIGN, WORKLOADS[BENCH])
     return CoAnalysisEngine(target, csm=ConservativeStateManager(),
                             application=BENCH, **kw)
-
-
-def make_parallel(**kw):
-    kw.setdefault("policy", SupervisionPolicy(**FAST_POLICY))
-    return ParallelCoAnalysis(WorkloadTargetFactory(DESIGN, BENCH),
-                              workers=2, application=BENCH, **kw)
 
 
 class TestGovernedStops:
@@ -83,26 +72,33 @@ class TestGovernedStops:
     def test_sigterm_mid_run_checkpoints_and_resumes(self, tmp_path,
                                                      baseline):
         """The acceptance scenario: a governed bm32 run SIGTERMed
-        mid-wave stops gracefully with a final checkpoint, and the
+        mid-segment stops gracefully with a final checkpoint, and the
         relaunched run converges to the unbounded answer."""
         ckpt = tmp_path / "sigterm.ckpt"
-        # the fault plan delivers SIGTERM to the parent mid-wave-1
-        # dispatch -- exactly a batch scheduler's preemption
+        sent = []
+
+        def preempt(sim, path_id, cycle):
+            # exactly a batch scheduler's preemption, delivered to this
+            # process in the middle of a segment
+            if (path_id, cycle) == SIGTERM_AT:
+                sent.append(path_id)
+                os.kill(os.getpid(), signal.SIGTERM)
+
         handler_before = signal.getsignal(signal.SIGTERM)
-        engine = make_parallel(checkpoint=str(ckpt),
-                               fault_plan=FaultPlan(
-                                   [FaultSpec(1, 0, "sigterm")]),
-                               budget=RunBudget())
+        engine = make_serial(checkpoint=str(ckpt), cycle_observer=preempt,
+                             budget=RunBudget())
         partial = engine.run()
+        assert sent == [SIGTERM_AT[0]]
         assert isinstance(partial, PartialResult)
         assert partial.stop_reason == "interrupted"
         assert "SIGTERM" in partial.stop_detail
+        assert partial.pending_paths >= 1
         assert any(e.kind == "governed_stop" for e in partial.journal)
         assert load_checkpoint(ckpt) is not None
         # the previous disposition was restored on exit
         assert signal.getsignal(signal.SIGTERM) == handler_before
 
-        resumed = make_parallel(checkpoint=str(ckpt), resume=True).run()
+        resumed = make_serial(checkpoint=str(ckpt), resume=True).run()
         assert resumed.complete and resumed.resumed
         assert resumed.profile.exercisable_gates() == \
             baseline.profile.exercisable_gates()
@@ -115,73 +111,3 @@ class TestGovernedStops:
         assert summary["partial"] is True
         assert summary["stop_reason"] == "deadline"
         assert summary["pending_paths"] == partial.pending_paths
-
-
-class TestQuarantine:
-    def test_poison_segment_is_quarantined_not_degraded(self, baseline):
-        """The acceptance scenario: a segment that crashes its worker on
-        every attempt is quarantined after the threshold and skipped
-        with a recorded verdict -- the pool keeps running in parallel
-        instead of degrading to serial."""
-        plan = FaultPlan([FaultSpec(1, 0, "crash", persistent=True)])
-        engine = make_parallel(fault_plan=plan, quarantine=2)
-        result = engine.run()
-
-        assert result.complete
-        assert not result.degraded_to_serial
-        assert not engine.stats.degraded
-        assert result.quarantined_paths == 1
-        kinds = [e.kind for e in result.journal]
-        assert "quarantined" in kinds and "degraded" not in kinds
-        (verdict,) = result.quarantine_verdicts
-        assert verdict["quarantined"] and verdict["failures"] == 2
-        assert verdict["kinds"] == ["crash", "crash"]
-        (record,) = [r for r in result.path_records
-                     if r.outcome == "quarantined"]
-        assert record.cycles == 0
-        assert result.metrics.quarantined == 1
-        # the quarantined segment's activity was never explored, so the
-        # answer is a (sound) subset of the fault-free dichotomy
-        assert result.profile.exercisable_gates() <= \
-            baseline.profile.exercisable_gates()
-
-    def test_quarantine_verdicts_survive_resume(self, tmp_path):
-        plan = FaultPlan([FaultSpec(1, 0, "crash", persistent=True)])
-        ckpt = tmp_path / "quarantine.ckpt"
-        first = make_parallel(fault_plan=plan, quarantine=2,
-                              checkpoint=str(ckpt)).run()
-        assert first.quarantine_verdicts
-
-        resumed = make_parallel(quarantine=2, checkpoint=str(ckpt),
-                                resume=True).run()
-        assert resumed.resumed
-        assert resumed.quarantine_verdicts == first.quarantine_verdicts
-
-    def test_serial_engine_skips_quarantined_keys(self, tmp_path):
-        """A registry carried in the checkpoint payload also filters
-        pending paths on the serial engine (pre-dispatch skip)."""
-        from repro.resilience import QuarantineRegistry, segment_key
-
-        # quarantine the initial path's key, then run with the registry:
-        # the kernel must seal it instead of dispatching
-        target = build_target(DESIGN, WORKLOADS[BENCH])
-        probe = CoAnalysisEngine(target, csm=ConservativeStateManager(),
-                                 application=BENCH)
-        initial = probe.run()
-        first_record = initial.path_records[0]
-
-        registry = QuarantineRegistry(threshold=1)
-        engine = make_serial(quarantine=registry)
-        # reconstruct the initial pending path's key via a fresh prepare
-        from repro.coanalysis.executors import SerialExecutor
-        executor = SerialExecutor(build_target(DESIGN, WORKLOADS[BENCH]))
-        state = executor.prepare()
-        registry.record_failure(segment_key(state.to_bytes(), None),
-                                "crash", pc=first_record.start_pc)
-
-        result = engine.run()
-        assert result.quarantined_paths == 1
-        assert result.path_records[0].outcome == "quarantined"
-        # nothing else was explorable: the whole run was the poison root
-        assert len(result.path_records) == 1
-        assert result.complete

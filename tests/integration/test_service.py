@@ -76,6 +76,41 @@ def test_restart_recovery_serves_done_from_store(tmp_path):
         assert fresh.counters["executed"] == 0
 
 
+def _store_as_before_pool_removal(sched, job_id):
+    """Rewrite a job manifest in the shape stored while specs still had
+    a worker-pool size (every stored spec carried ``"workers": 1``)."""
+    name = f"job-{job_id}"
+    manifest = sched.store.get_manifest(name)
+    manifest["spec"] = dict(manifest["spec"], workers=1)
+    sched.store.put_manifest(name, manifest)
+
+
+def test_recovery_keeps_manifests_stored_with_workers(tmp_path,
+                                                      direct_result):
+    """Manifests written before the pool engine was removed still
+    recover: a DONE one dedups a resubmission, a QUEUED one is
+    re-enqueued and runs."""
+    root = tmp_path / "store"
+    with Scheduler(root, SchedulerConfig(workers=1)) as sched:
+        done = sched.submit({"design": "dr5", "benchmark": "mult"})
+        sched.wait(done.job_id, timeout=300)
+    # a scheduler that is never started leaves its submission QUEUED
+    idle = Scheduler(root)
+    queued = idle.submit({"design": "dr5", "benchmark": "mult",
+                          "dedup": False})
+    for job_id in (done.job_id, queued.job_id):
+        _store_as_before_pool_removal(idle, job_id)
+
+    with Scheduler(root, SchedulerConfig(workers=1)) as fresh:
+        dup = fresh.submit({"design": "dr5", "benchmark": "mult"})
+        assert dup.state == "DONE" and dup.cache_hit
+        recovered = fresh.wait(queued.job_id, timeout=300)
+        assert recovered.state == "DONE"
+        assert fresh.counters["executed"] == 1
+        assert_identical(direct_result,
+                         fresh.job_store.load_result(recovered))
+
+
 def test_sharded_run_converges(tmp_path, direct_result):
     """Work-stealing shards: many governed dispatches, one answer."""
     with Scheduler(tmp_path / "store",
@@ -99,6 +134,12 @@ def test_http_api_round_trip(tmp_path):
             with pytest.raises(ServiceError) as err:
                 client.submit({"design": "dr5"})
             assert err.value.status == 400
+            # ... and so is one naming the removed worker-pool engine
+            for field, value in (("workers", 2), ("engine", "parallel")):
+                with pytest.raises(ServiceError, match=field) as err:
+                    client.submit({"design": "dr5", "benchmark": "mult",
+                                   field: value})
+                assert err.value.status == 400
 
             view = client.submit({"design": "dr5", "benchmark": "mult"})
             assert view["state"] in ("QUEUED", "RUNNING")

@@ -148,18 +148,24 @@ class TestRunPayloadCodec:
         assert decode_run_payload(payload) == payload
 
     def test_v2_payload_without_quarantine_key_upgrades(self):
-        # v2 payloads written before the quarantine key existed
+        # the encoder no longer writes the retired quarantine snapshot,
+        # and decoding does not put one back
         from repro.resilience.checkpoint import decode_run_payload
         payload = self._v2()
-        del payload["quarantine"]
-        assert decode_run_payload(payload)["quarantine"] is None
+        assert "quarantine" not in payload
+        assert "quarantine" not in decode_run_payload(payload)
 
-    def test_quarantine_snapshot_rides_the_payload(self):
+    def test_v2_payload_with_quarantine_key_decodes(self):
+        # v2 payloads written while the kernel still had a poison-segment
+        # quarantine carry its snapshot and a quarantined_paths counter;
+        # both are dropped, the rest decodes unchanged
         from repro.resilience.checkpoint import decode_run_payload
+        current = self._v2()
         snap = {"threshold": 2, "records": [{"key": "k", "failures": 2,
                                             "quarantined": True}]}
-        payload = self._v2(quarantine=snap)
-        assert decode_run_payload(payload)["quarantine"] == snap
+        older = self._v2(quarantine=snap, counters=dict(
+            current["counters"], quarantined_paths=0))
+        assert decode_run_payload(older) == current
 
     def test_unsupported_codec_raises(self):
         from repro.resilience.checkpoint import decode_run_payload
@@ -184,8 +190,11 @@ class TestRunPayloadCodec:
         # pre-codec serial runs checkpointed once per segment
         assert out["counters"]["batches_done"] == 2
 
-    def test_legacy_parallel_payload_upgrades(self):
-        from repro.resilience.checkpoint import decode_run_payload
+    def test_legacy_parallel_payload_keeps_its_engine_tag(self):
+        # the worker-pool engine is gone: its pre-codec journal decodes
+        # to the bare engine tag, which the kernel rejects on resume
+        from repro.resilience.checkpoint import (RUN_PAYLOAD_CODEC,
+                                                 decode_run_payload)
         legacy = {
             "engine": "parallel", "design": "d", "application": "a",
             "pending": [(b"blob", 0)],
@@ -196,11 +205,6 @@ class TestRunPayloadCodec:
             "counters": {"paths_created": 9},
             "path_records": [], "journal": [],
         }
-        out = decode_run_payload(legacy)
-        assert out["frontier"] == [(b"blob", 0, 0, None, None)]
-        assert out["strategy"] == "bfs"
-        assert out["activity"] == {"repr": "profile",
-                                   "toggled": [True], "ever_x": [False],
-                                   "val": [False], "known": [True]}
-        assert out["counters"]["batches_done"] == 4
-        assert out["per_path_exercised"] == []
+        assert decode_run_payload(legacy) == {
+            "codec": RUN_PAYLOAD_CODEC, "engine": "parallel",
+            "design": "d", "application": "a"}

@@ -66,10 +66,22 @@ class TestParser:
     def test_analyze_resilience_args(self):
         args = build_parser().parse_args(
             ["analyze", "dr5", "mult", "--checkpoint", "run.ckpt",
-             "--resume", "--workers", "4"])
+             "--resume"])
         assert args.checkpoint == "run.ckpt"
         assert args.resume
-        assert args.workers == 4
+
+    @pytest.mark.parametrize("flag", [["--engine", "parallel"],
+                                      ["--workers", "2"],
+                                      ["--quarantine-after", "2"]])
+    def test_worker_pool_options_are_gone(self, flag):
+        # the spawn-pool engine and its options were removed; only
+        # `repro serve --workers` keeps process-level parallelism
+        for command in ("run", "analyze", "submit"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "dr5", "mult"] + flag)
+            assert exc.value.code == 2
+        args = build_parser().parse_args(["serve", "--workers", "3"])
+        assert args.workers == 3
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit):

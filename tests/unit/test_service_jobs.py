@@ -53,9 +53,18 @@ def test_spec_engine_default_mirrors_run_one():
     # submissions fingerprint equally however they spell the default
     assert JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
                               "engine": None}).engine == "serial"
-    assert JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
-                              "engine": None,
-                              "workers": 4}).engine == "parallel"
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("workers", 1, "unknown spec field.*workers"),
+    ("workers", 2, "unknown spec field.*workers"),
+    ("engine", "parallel", "unknown engine 'parallel'"),
+])
+def test_spec_rejects_worker_pool_fields(field, value, match):
+    # a run always happens in one process: a new submission naming the
+    # removed pool engine or its worker count is refused by name
+    with pytest.raises(JobSpecError, match=match):
+        make_spec(**{field: value})
 
 
 def test_spec_lanes_requires_batch_engine():
@@ -164,6 +173,40 @@ def test_job_store_unknown_job(tmp_path):
     store = JobStore(ContentStore(tmp_path / "store"))
     with pytest.raises(UnknownJob):
         store.load("nosuchjob0000")
+
+
+def _stored_before_pool_removal(job: Job, workers: int = 1) -> dict:
+    """``job``'s manifest as stored while specs still had ``workers``."""
+    manifest = job.to_manifest()
+    manifest["spec"] = dict(manifest["spec"], workers=workers)
+    return manifest
+
+
+def test_manifest_with_single_worker_loads():
+    job = Job.new(make_spec(), FP)
+    clone = Job.from_manifest(_stored_before_pool_removal(job))
+    assert clone.spec == job.spec
+    assert clone.to_manifest() == job.to_manifest()
+
+
+def test_manifest_naming_the_pool_is_rejected():
+    job = Job.new(make_spec(), FP)
+    with pytest.raises(JobSpecError, match="workers"):
+        Job.from_manifest(_stored_before_pool_removal(job, workers=2))
+
+
+def test_job_store_lists_manifests_stored_with_workers(tmp_path):
+    content = ContentStore(tmp_path / "store")
+    store = JobStore(content)
+    old, pooled = Job.new(make_spec(), FP), Job.new(make_spec(), FP)
+    pooled.created = old.created + 1
+    content.put_manifest(f"job-{old.job_id}",
+                         _stored_before_pool_removal(old))
+    content.put_manifest(f"job-{pooled.job_id}",
+                         _stored_before_pool_removal(pooled, workers=4))
+    # the single-process manifest loads; the pool one stays skipped,
+    # like any other foreign manifest
+    assert [j.job_id for j in store.list_jobs()] == [old.job_id]
 
 
 def test_job_store_skips_foreign_manifests(tmp_path):

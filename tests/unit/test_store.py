@@ -327,7 +327,7 @@ class TestSegmentResultCache:
     def test_uncacheable_outcomes_rejected(self, tmp_path):
         cache = SegmentResultCache(ContentStore(tmp_path), "f" * 64)
         key = cache.key(fake_state(), None)
-        assert not cache.store(key, fake_segment(outcome="quarantined"))
+        assert not cache.store(key, fake_segment(outcome="skipped"))
         assert not cache.store(key, fake_segment(activity=False))
 
     def test_corrupt_record_self_heals(self, tmp_path):
