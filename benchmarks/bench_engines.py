@@ -17,12 +17,14 @@ import time
 import timeit
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.logic import Logic, LVec
 from repro.rtl import Design
 from repro.sim import (BatchCycleSim, CompiledNetlist, CycleSim, EventSim,
-                       batch_kernels_for, compile_netlist)
+                       compile_netlist)
+from repro.sim.batch_kernels import reference_sweep
 from repro.workloads import built_core
 
 CYCLES_BIG = 50
@@ -212,9 +214,12 @@ def _mid_run_div_sim():
 def test_segment_replay_fork_heavy(benchmark):
     """The co-analysis hot path: restore a snapshot, replay a short
     segment, fork again -- every non-idle settle is a full level-table
-    settle.  Gate: on a mid-run bm32 Div state, that settle must beat
-    the 1-word fused per-group sweep of the batched engine's kernels by
-    >= SETTLE_MIN_SPEEDUP, with identical planes."""
+    settle.  Gates, each >= SETTLE_MIN_SPEEDUP with identical planes,
+    against the fused per-group reference sweep
+    (:func:`~repro.sim.batch_kernels.reference_sweep`) on a mid-run bm32
+    Div state: the serial level-table settle on its bool planes, and
+    the batched engine's lane level tables on that state held in every
+    lane of a one-word plane."""
     nl, _ = built_core("bm32")
     compiled = compile_netlist(nl)
 
@@ -228,34 +233,46 @@ def test_segment_replay_fork_heavy(benchmark):
     benchmark.pedantic(forks, rounds=3, iterations=1, warmup_rounds=1)
 
     div = _mid_run_div_sim()
-    sweep = batch_kernels_for(div.c, 1).sweep
-    val, known = div.val.copy(), div.known.copy()
+    sweep = reference_sweep(div.c)
+    _assert_settle_beats_sweep("level-table settle", div, sweep)
 
-    def table_settles():
-        for _ in range(SETTLE_REPS):
-            div.mark_all_dirty()
-            div.settle()
+    batch = BatchCycleSim(div.c, record_activity=False)
+    for _ in range(batch.capacity):
+        batch.alloc_lane()
+    every_lane = ~np.uint64(0)
+    batch.val[:, 0] = div.val * every_lane
+    batch.known[:, 0] = div.known * every_lane
+    _assert_settle_beats_sweep("64-lane batched settle", batch, sweep)
+    assert (batch.lane_planes(0)[0] == div.val).all()
 
-    def fused_sweeps():
-        for _ in range(SETTLE_REPS):
-            sweep(val, known)
 
-    table_settles()
-    fused_sweeps()
-    assert (val == div.val).all() and (known == div.known).all()
+def _assert_settle_beats_sweep(label, sim, sweep):
+    """Gate: a full ``sim.settle()`` beats the fused ``sweep`` on a copy
+    of the same planes by >= SETTLE_MIN_SPEEDUP, and both leave the
+    planes identical."""
+    val, known = sim.val.copy(), sim.known.copy()
+
+    def settle():
+        sim.mark_all_dirty()
+        sim.settle()
+
+    settle()
+    sweep(val, known)
+    assert (val == sim.val).all() and (known == sim.known).all()
     # interleaved, best of SETTLE_ROUNDS each: both legs sample the
     # same stretch of a shared, noisy host
-    t_table = t_fused = float("inf")
+    t_settle = t_fused = float("inf")
     for _ in range(SETTLE_ROUNDS):
-        t_table = min(t_table, timeit.timeit(table_settles, number=1))
-        t_fused = min(t_fused, timeit.timeit(fused_sweeps, number=1))
-    speedup = t_fused / t_table
-    print(f"\n  bm32 Div settle ({SETTLE_REPS} reps): level table "
-          f"{t_table*1000:.1f} ms, fused sweep {t_fused*1000:.1f} ms "
+        t_settle = min(t_settle, timeit.timeit(settle, number=SETTLE_REPS))
+        t_fused = min(t_fused, timeit.timeit(lambda: sweep(val, known),
+                                             number=SETTLE_REPS))
+    speedup = t_fused / t_settle
+    print(f"\n  bm32 Div {label} ({SETTLE_REPS} reps): "
+          f"{t_settle*1000:.1f} ms, fused sweep {t_fused*1000:.1f} ms "
           f"-> {speedup:.1f}x")
     assert speedup >= SETTLE_MIN_SPEEDUP, (
-        f"level-table settle only {speedup:.2f}x faster than the fused "
-        f"sweep (expected >= {SETTLE_MIN_SPEEDUP}x)")
+        f"{label} only {speedup:.2f}x faster than the fused sweep "
+        f"(expected >= {SETTLE_MIN_SPEEDUP}x)")
 
 
 def test_batch_engine_replay_speedup(benchmark):
@@ -320,7 +337,7 @@ def test_batch_engine_replay_speedup(benchmark):
 
     gate_counts = []
     for width in BATCH_LANE_WIDTHS:
-        batch_round(width)             # warm the per-width fused kernels
+        batch_round(width)             # warm the per-width lane tables
         t0 = time.perf_counter()
         batch, lanes = batch_round(width)
         t_batch_ms = (time.perf_counter() - t0) * 1000

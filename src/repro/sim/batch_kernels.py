@@ -1,34 +1,33 @@
-"""Fused numpy kernels compiled from a :class:`CompiledNetlist` schedule.
+"""Lane level tables: the batched engine's settle, one level at a time.
 
-The batched engine evaluates the levelized ``(level, kind)`` schedule
-on bit-packed lane planes.  Interpreting it -- one Python-level
-dispatch per group, the gate semantics chosen by a chain of ``if kind
-== ...`` tests on every settle -- would make that dispatch the
-bottleneck: the arrays are small (one word per net) and the work per
-numpy op is tiny.  (The serial engine does not interpret groups either:
-it evaluates one gate table lookup per level, see
-:mod:`repro.sim.cycle_sim`.)
+The batched engine settles the same per-level tables the serial engine
+does (:attr:`CompiledNetlist.levels <repro.sim.cycle_sim.CompiledNetlist>`),
+but on bit-packed lane planes, so it cannot look gates up in a table by
+their input code.  It evaluates every gate kind as one Kleene mux
+instead, in *dual-rail* form:
 
-This module removes the interpreter: it *generates Python source* for
-the whole schedule once per compiled netlist and ``exec``\\ s it with the
-group index arrays bound in the namespace, yielding
+* a net is a ``(zero, one)`` rail pair -- ``(1, 0)`` is 0, ``(0, 1)``
+  is 1 and ``(0, 0)`` is X.  Because ``val`` is a subset of ``known``
+  in every live lane, the one-rail is ``val`` and the zero-rail is
+  ``known ^ val``;
+* every comb kind is a mux ``s ? d1 : d0`` (:data:`MUX_LEGS`) whose data
+  legs are a net, its complement (the two rails swapped) or a constant
+  (one of two reserved rows);
+* per rail ``r``: ``out_r = (s_zero & d0_r) | (s_one & d1_r) |
+  (d0_r & d1_r)``.  The last, consensus term gives an X select with
+  agreeing data legs that value; a valid input pair always yields a
+  valid output pair.
 
-* ``sweep(val, known)`` -- the entire combinational schedule as one
-  fused function (the no-forces full-settle fast path);
-* ``levels`` -- ``[(level, fn), ...]`` with one fused function per
-  topological level (the full-settle path when forces must be
-  re-asserted between levels);
-* ``groups`` -- one function per schedule group returning fresh
-  ``(val, known)`` planes for its outputs without storing (the
-  incremental dirty-cone path needs the old planes for change
-  detection).
+A level is then one gather of every gate's select and data rails from
+a flat rails buffer, four bitwise ops over ``uint64`` words (one bit
+per lane) and one scatter -- the same few bulk operations for 1 lane or
+256.  :func:`batch_kernels_for` widens the indices once per plane width
+to flat positions and caches them.
 
-Every generated expression is *pure bitwise algebra* -- ``& | ^ ~`` only,
-never ``==`` or boolean ``where`` -- so the same kernels evaluate both
-one-state bool planes and the batched engine's bit-packed ``uint64``
-planes (one bit per lane, 64 independent simulations per word).  The reference semantics are :data:`repro.logic.tables.COMB_EVAL`;
-equivalence with the serial engine, whose gate table is generated from
-them, is pinned by the batch/serial parity tests.
+:func:`reference_sweep` keeps the older formulation -- generated Python
+source, one fused ``& | ^ ~`` expression block per ``(level, kind)``
+group -- as an independent bitwise reference for tests and benchmarks;
+no engine calls it.
 """
 
 from __future__ import annotations
@@ -36,12 +35,104 @@ from __future__ import annotations
 import weakref
 from typing import Callable, List, Tuple
 
-from .cycle_sim import TABLE_KINDS, CompiledNetlist
+import numpy as np
 
-#: gate kinds the generator knows: those of the serial gate table
-SUPPORTED_KINDS = TABLE_KINDS
+from .cycle_sim import _SLOT, TABLE_KINDS, CompiledNetlist
+
+#: the constant legs of :data:`MUX_LEGS`, numbered after the three ports
+ZERO, ONE = 3, 4
+#: every kind of :data:`~repro.sim.cycle_sim.TABLE_KINDS` as a Kleene mux
+#: ``(select; d0, d1)``: a leg is an input port (0-2), ``~port`` for its
+#: complement, or the constant :data:`ZERO` / :data:`ONE`
+MUX_LEGS = {
+    "BUF": (0, ZERO, ONE),
+    "NOT": (0, ONE, ZERO),
+    "AND": (0, ZERO, 1),
+    "NAND": (0, ONE, ~1),
+    "OR": (0, 1, ONE),
+    "NOR": (0, ~1, ZERO),
+    "XOR": (0, 1, ~1),
+    "XNOR": (0, ~1, 1),
+    "MUX2": (2, 0, 1),          # pins (d0, d1, s)
+}
 
 
+def _leg_columns() -> Tuple[np.ndarray, np.ndarray]:
+    """``(port, swap)``, each ``(3, slots)``: per table slot, the port row
+    each of select / d0 / d1 reads and whether its rails swap."""
+    legs = np.array([MUX_LEGS[kind] for kind in TABLE_KINDS]).T
+    swap = legs < 0
+    return np.where(swap, ~legs, legs), swap
+
+
+_LEG_PORT, _LEG_SWAP = _leg_columns()
+
+
+class BatchKernels:
+    """The lane level tables of one :class:`CompiledNetlist` at one
+    plane width.
+
+    The rails buffer is a flat ``(2, rows, n_words)`` uint64 array:
+    rail 0 is the zero-rail, rail 1 the one-rail, and ``rows`` is
+    ``n_nets + 2`` -- the nets, then a constant-0 and a constant-1 row.
+    """
+
+    __slots__ = ("rows", "tables")
+
+    def __init__(self, compiled: CompiledNetlist, n_words: int = 1):
+        n = compiled.n_nets
+        #: rows of the rails buffer: every net plus the two constants
+        self.rows = rows = n + 2
+        #: ``(level, gather, scatter)`` per logic level: ``gather`` is
+        #: ``(3, 2, m * n_words)`` -- select / d0 / d1, each as
+        #: (zero, one) rail positions -- and ``scatter`` the
+        #: ``(2, m * n_words)`` rail positions of the level's outputs
+        self.tables: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        for lvl, ins, offset, out in compiled.levels:
+            m = len(out)
+            slot = offset // _SLOT
+            ports = np.empty((5, m), dtype=np.intp)
+            ports[:3] = ins
+            ports[ZERO] = n
+            ports[ONE] = n + 1
+            row = ports[_LEG_PORT[:, slot], np.arange(m)]     # (3, m)
+            swap = _LEG_SWAP[:, slot]
+            base = np.stack([row + rows * swap, row + rows * ~swap], 1)
+            self.tables.append((
+                lvl, _flat(base, n_words),
+                _flat(np.stack([out, out + rows]), n_words)))
+
+
+def _flat(base: np.ndarray, n_words: int) -> np.ndarray:
+    """Row indices ``base`` as flat ``row * n_words + word`` positions,
+    the words of one row contiguous on the last axis.  The result is
+    C-contiguous: a gather's output takes its index's memory layout,
+    and the bitwise ops run ~2x slower on a strided one."""
+    flat = base[..., None] * n_words + np.arange(n_words)
+    return np.ascontiguousarray(flat.reshape(base.shape[:-1] + (-1,)))
+
+
+#: per-process table cache keyed by compiled-netlist identity and plane
+#: word count; a CompiledNetlist is immutable, so identity is a sound
+#: cache key
+_KERNEL_CACHE: "weakref.WeakKeyDictionary[CompiledNetlist, dict]" \
+    = weakref.WeakKeyDictionary()
+
+
+def batch_kernels_for(compiled: CompiledNetlist,
+                      n_words: int = 1) -> BatchKernels:
+    """Lane level tables for ``(compiled, n_words)``, built once and
+    cached."""
+    by_width = _KERNEL_CACHE.get(compiled)
+    if by_width is None:
+        by_width = _KERNEL_CACHE[compiled] = {}
+    kernels = by_width.get(n_words)
+    if kernels is None:
+        kernels = by_width[n_words] = BatchKernels(compiled, n_words)
+    return kernels
+
+
+# -- the fused reference sweep ---------------------------------------------
 def _group_lines(gid: int, kind: str) -> List[str]:
     """Emit the bitwise body computing ``vv``/``kk`` for one group.
 
@@ -90,94 +181,23 @@ def _group_lines(gid: int, kind: str) -> List[str]:
     raise KeyError(f"no batch kernel generator for gate kind {kind!r}")
 
 
-def _stored_lines(gid: int, kind: str) -> List[str]:
-    return _group_lines(gid, kind) + [f"val[o{gid}] = vv",
-                                      f"known[o{gid}] = kk"]
+def reference_sweep(compiled: CompiledNetlist) -> Callable:
+    """``sweep(val, known)``: the whole comb schedule as one generated
+    function of fused per-group bitwise blocks, storing in place.
 
-
-class BatchKernels:
-    """The compiled kernel set for one :class:`CompiledNetlist`."""
-
-    __slots__ = ("sweep", "levels", "groups", "source")
-
-    def __init__(self, sweep: Callable, levels: List[Tuple[int, Callable]],
-                 groups: List[Callable], source: str):
-        #: fused function evaluating the whole comb schedule in order
-        self.sweep = sweep
-        #: ``(level, fn)`` pairs, one fused function per topological level
-        self.levels = levels
-        #: per-group functions returning ``(vv, kk)`` without storing,
-        #: aligned with ``compiled.schedule``
-        self.groups = groups
-        #: the generated source, kept for debuggability
-        self.source = source
-
-
-def build_kernels(compiled: CompiledNetlist,
-                  n_words: int = 1) -> BatchKernels:
-    """Generate and compile the fused kernel set for ``compiled``.
-
-    ``n_words`` is the batched engine's plane width in uint64 words
-    (lanes / 64); the serial bool planes are ``n_words=1``.  The emitted
-    algebra is width-independent -- nets index axis 0 and the ops
-    broadcast over the word axis -- but each width gets its own compile
-    unit (and cache slot) so a 256-lane run can never alias a 64-lane
-    kernel's code object in tracebacks or profiles.
+    The algebra is width-independent -- nets index axis 0 and the ops
+    broadcast over any trailing word axis -- so it settles the batched
+    engine's uint64 planes at any width, and bool planes too.  Built
+    fresh on every call: it is a reference, not an engine path.
     """
     ns: dict = {}
+    body: List[str] = []
     for gi, grp in enumerate(compiled.schedule):
         for port, arr in enumerate(grp.ins):
             ns[f"i{gi}_{port}"] = arr
         ns[f"o{gi}"] = grp.out
-
-    lines: List[str] = []
-
-    def emit(header: str, body: List[str]) -> None:
-        lines.append(header)
-        for stmt in (body or ["pass"]):
-            lines.append("    " + stmt)
-
-    for gi, grp in enumerate(compiled.schedule):
-        emit(f"def group{gi}(val, known):",
-             _group_lines(gi, grp.kind) + ["return vv, kk"])
-
-    by_level: dict = {}
-    for gi, grp in enumerate(compiled.schedule):
-        by_level.setdefault(grp.level, []).append(gi)
-    for lvl in sorted(by_level):
-        body: List[str] = []
-        for gi in by_level[lvl]:
-            body.extend(_stored_lines(gi, compiled.schedule[gi].kind))
-        emit(f"def level{lvl}(val, known):", body)
-
-    sweep_body: List[str] = []
-    for gi, grp in enumerate(compiled.schedule):
-        sweep_body.extend(_stored_lines(gi, grp.kind))
-    emit("def sweep(val, known):", sweep_body)
-
-    source = "\n".join(lines)
-    exec(compile(source, f"<batch-kernels-w{n_words}>", "exec"), ns)
-    return BatchKernels(
-        sweep=ns["sweep"],
-        levels=[(lvl, ns[f"level{lvl}"]) for lvl in sorted(by_level)],
-        groups=[ns[f"group{gi}"] for gi in range(len(compiled.schedule))],
-        source=source)
-
-
-#: per-process kernel cache keyed by compiled-netlist identity and
-#: plane word count; a CompiledNetlist is immutable, so identity is a
-#: sound cache key
-_KERNEL_CACHE: "weakref.WeakKeyDictionary[CompiledNetlist, dict]" \
-    = weakref.WeakKeyDictionary()
-
-
-def batch_kernels_for(compiled: CompiledNetlist,
-                      n_words: int = 1) -> BatchKernels:
-    """Kernel set for ``(compiled, n_words)``, generated once and cached."""
-    by_width = _KERNEL_CACHE.get(compiled)
-    if by_width is None:
-        by_width = _KERNEL_CACHE[compiled] = {}
-    kernels = by_width.get(n_words)
-    if kernels is None:
-        kernels = by_width[n_words] = build_kernels(compiled, n_words)
-    return kernels
+        body += _group_lines(gi, grp.kind) + [f"val[o{gi}] = vv",
+                                              f"known[o{gi}] = kk"]
+    source = "\n    ".join(["def sweep(val, known):"] + (body or ["pass"]))
+    exec(compile(source, "<reference-sweep>", "exec"), ns)
+    return ns["sweep"]

@@ -7,9 +7,9 @@ per state.  :class:`BatchCycleSim` packs up to ``lanes`` independent
 simulations into the same arrays the serial engine uses: every net's
 ``(val, known)`` pair becomes ``n_words = lanes / 64`` ``uint64`` words
 per plane (:class:`~repro.sim.planes.LanePlanes`), **one bit per
-lane**.  A single fused settle (see :mod:`repro.sim.batch_kernels`)
-then advances every lane at once -- bitwise ``& | ^ ~`` on uint64 words
-is lane-parallel for free, the GSIM-style batched-kernel trick -- and
+lane**.  A single settle then advances every lane at once -- bitwise
+``& | ^ ~`` on uint64 words is lane-parallel for free, the GSIM-style
+batched-kernel trick -- and
 widening the wave from 64 to 128 or 256 lanes only grows the word axis
 the same ops already broadcast over.
 
@@ -22,12 +22,11 @@ Lane lifecycle maps onto Algorithm 1 directly:
 * **explore** -- all live lanes advance in lockstep through
   ``settle()`` / ``clock_edge()``.
 
-Incremental settling reuses the compiled fanout-cone CSR index with
-*per-lane dirty masks*: each dirty net remembers **which lanes**
-changed it (a lane-mask int), the union over lanes picks the schedule
-groups to re-evaluate (evaluating a group costs the same for 1 or 256
-lanes -- that is the whole point), and change propagation is detected
-per lane with packed XORs masked to the live lanes.
+Settling is the lane form of the serial engine's level table (see
+:mod:`repro.sim.batch_kernels`): per logic level, one gather of every
+gate's dual-rail inputs, four bitwise ops and one scatter advance every
+lane.  One dirty flag, set only when a bit of a live lane changes,
+makes a settle with nothing to do free.
 
 Per-lane state that cannot live in the bit planes -- cycle counters,
 attached :class:`~repro.sim.memory.XMemory` instances, forces,
@@ -48,10 +47,10 @@ import numpy as np
 from ..logic.value import Logic
 from ..logic.vector import LVec
 from .batch_kernels import batch_kernels_for
-from .cycle_sim import CompiledNetlist, ForcedRestoreWarning
+from .cycle_sim import _LEVEL_CODE, CompiledNetlist, ForcedRestoreWarning
 from .memory import XMemory
-from .planes import (LANE_WORD, M64, LanePlanes, column_bits, lane_word_bit,
-                     words_to_int)
+from .planes import (CODE_DTYPE, M64, LanePlanes, column_bits,
+                     lane_word_bit, mask_to_words)
 from .state import SimState
 
 #: default lane capacity (one plane word); pass ``lanes=128/256/...``
@@ -88,8 +87,6 @@ class BatchCycleSim:
 
     def __init__(self, compiled: CompiledNetlist,
                  record_activity: bool = True,
-                 incremental: bool = True,
-                 incremental_threshold: float = 0.25,
                  lanes: int = LANE_CAPACITY):
         self.c = compiled
         self.planes = LanePlanes(compiled.n_nets, lanes)
@@ -99,7 +96,15 @@ class BatchCycleSim:
         self.n_words = self.planes.n_words
         self._full = self.planes.full_mask
         self.kernels = batch_kernels_for(compiled, self.n_words)
-        n = compiled.n_nets
+        #: the settle's dual-rail copy of the planes, flat and as a
+        #: ``(2, rows, n_words)`` view; the two constant rows after the
+        #: nets are set once here and never written again
+        self._rails = np.zeros(2 * self.kernels.rows * self.n_words,
+                               dtype=np.uint64)
+        self._rails3 = self._rails.reshape(2, self.kernels.rows,
+                                           self.n_words)
+        self._rails3[0, -2] = M64      # constant 0: zero-rail set
+        self._rails3[1, -1] = M64      # constant 1: one-rail set
         self.val = self.planes.val
         self.known = self.planes.known
         #: bitmask of live lanes (python int)
@@ -116,15 +121,13 @@ class BatchCycleSim:
         #: (``val_bits``/``known_bits`` are subsets of ``lane_mask``)
         self._forces: Dict[int, List[int]] = {}
         self._force_cache: Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray, np.ndarray]] = None
-        self.incremental = incremental
-        self._dirty_limit = max(1, int(incremental_threshold * n))
-        #: per-lane dirty masks: net -> bitmask of lanes that changed it
-        self._dirty: Dict[int, int] = {}
-        self._dirty_groups: set = set()
-        self._needs_full = True
+                                          np.ndarray, set]] = None
+        #: a live lane's bit changed since the last settle (or
+        #: mark_all_dirty)
+        self._dirty = True
+        #: settle counters: ``full_settles`` evaluated every level,
+        #: ``noop_settles`` had nothing to do
         self.full_settles = 0
-        self.incremental_settles = 0
         self.noop_settles = 0
 
     # -- lane lifecycle -----------------------------------------------------
@@ -164,8 +167,8 @@ class BatchCycleSim:
         self.lane_memories[lane] = {}
         self._armed_mask &= ~bit
         # the lane's comb bits are garbage from a previous occupant;
-        # one full sweep re-derives them (cheap amortized over a wave)
-        self._needs_full = True
+        # the next settle re-derives them
+        self._dirty = True
         return lane
 
     def fork_lane(self, src: int) -> int:
@@ -193,10 +196,8 @@ class BatchCycleSim:
                 if entry[2] & src_bit:
                     entry[2] |= bit
                 self._force_cache = None
-        # the clone inherits any pending (unsettled) dirt of its source
-        for net, lanes in self._dirty.items():
-            if lanes & src_bit:
-                self._dirty[net] = lanes | bit
+        # a settled column copies settled; an unsettled source already
+        # set the dirty flag
         return lane
 
     def drop_lane(self, lane: int) -> None:
@@ -236,7 +237,37 @@ class BatchCycleSim:
                                          else (word_v & ~wbit))
             self.known[net, w] = np.uint64((word_k | wbit) if k
                                            else (word_k & ~wbit))
-            self._mark_dirty(net, bit)
+            self._dirty = True
+
+    def lane_set_bus(self, lane: int, nets: Sequence[int],
+                     value: LVec) -> None:
+        """Drive ``nets`` with ``value`` in one lane: one masked write
+        of the bits that changed.  Nets this lane has forced are left
+        alone, as :meth:`lane_set_net` leaves them."""
+        if len(nets) != value.width:
+            raise ValueError("bus width mismatch")
+        idx = np.asarray(nets, dtype=np.intp)
+        codes = np.fromiter(map(_LEVEL_CODE.__getitem__, value.bits),
+                            dtype=CODE_DTYPE, count=value.width)
+        if self._forces and not self._forces.keys().isdisjoint(nets):
+            bit = 1 << lane
+            free = np.array([not self._forces.get(n, (0,))[0] & bit
+                             for n in nets])
+            idx, codes = idx[free], codes[free]
+        self._write_column(lane, idx, codes & 1, codes >> 8)
+
+    def _write_column(self, lane: int, idx: np.ndarray, val: np.ndarray,
+                      known: np.ndarray) -> None:
+        """Write one lane's ``(val, known)`` bits (0/1 per net) of nets
+        ``idx``, flipping exactly the bits that differ."""
+        w, wb = lane_word_bit(lane)
+        sh, one = np.uint64(wb), np.uint64(1)
+        flip_v = ((self.val[idx, w] >> sh) & one) ^ val
+        flip_k = ((self.known[idx, w] >> sh) & one) ^ known
+        if flip_v.any() or flip_k.any():
+            self.val[idx, w] ^= flip_v << sh
+            self.known[idx, w] ^= flip_k << sh
+            self._dirty = True
 
     def lane_get_net(self, lane: int, net: int) -> Logic:
         w, wb = lane_word_bit(lane)
@@ -254,18 +285,10 @@ class BatchCycleSim:
         return LVec([(Logic.L1 if v else Logic.L0) if k else Logic.X
                      for v, k in zip(vals, knowns)])
 
-    # -- dirty tracking -------------------------------------------------------
-    def _mark_dirty(self, net: int, lane_bits: int) -> None:
-        self._dirty[net] = self._dirty.get(net, 0) | lane_bits
-        drv = self.c.driver[net]
-        if drv >= 0:
-            grp = self.c.gate_group[drv]
-            if grp >= 0:
-                self._dirty_groups.add(int(grp))
-
     def mark_all_dirty(self) -> None:
-        """Invalidate incremental state: the next settle is a full sweep."""
-        self._needs_full = True
+        """Make the next settle evaluate every level (after writing
+        :attr:`val` / :attr:`known` directly)."""
+        self._dirty = True
 
     # -- forcing ------------------------------------------------------------
     def lane_force(self, lane: int, net: int, value: Logic) -> None:
@@ -283,7 +306,7 @@ class BatchCycleSim:
         word_v = int(self.val[net, w])
         word_k = int(self.known[net, w])
         if bool(word_v & wbit) != v or bool(word_k & wbit) != k:
-            self._dirty[net] = self._dirty.get(net, 0) | bit
+            self._dirty = True       # the pin takes effect at settle
 
     def lane_release(self, lane: int, net: Optional[int] = None) -> None:
         """Remove one lane's force on ``net``, or all its forces."""
@@ -326,126 +349,76 @@ class BatchCycleSim:
 
     def _reassert_driver(self, net: int, lane_bit: int) -> None:
         """After a release the net's driver owns the lane's bit again."""
+        if self.c.net_comb_level[net] >= 0:
+            self._dirty = True
+            return
         drv = self.c.driver[net]
         if drv < 0:
             return
-        grp = self.c.gate_group[drv]
-        if grp >= 0:
-            self._dirty_groups.add(int(grp))
-            return
         kind = self.c.netlist.gates[drv].kind
         if kind in ("TIE0", "TIE1"):
-            want = kind == "TIE1"
-            lane = lane_bit.bit_length() - 1
-            w, wb = lane_word_bit(lane)
-            wbit = 1 << wb
-            word_v = int(self.val[net, w])
-            word_k = int(self.known[net, w])
-            if bool(word_v & wbit) != want or not word_k & wbit:
-                self.val[net, w] = np.uint64((word_v | wbit) if want
-                                             else (word_v & ~wbit))
-                self.known[net, w] = np.uint64(word_k | wbit)
-                self._dirty[net] = self._dirty.get(net, 0) | lane_bit
+            self.lane_set_net(lane_bit.bit_length() - 1, net,
+                              Logic.L1 if kind == "TIE1" else Logic.L0)
 
-    def _force_arrays(self):
+    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     set]:
+        """``(nets, keep, rails, levels)`` of the active forces: ``keep``
+        clears the forced lanes' bits, ``rails`` holds the forced
+        ``(zero, one)`` rail bits, and ``levels`` are the comb levels that
+        drive a forced net.  Forces are re-asserted once after each such
+        level -- pinned before any reader level evaluates."""
         if self._force_cache is None:
             n = len(self._forces)
             n_words = self.n_words
-            nets = np.fromiter(self._forces.keys(), dtype=np.int64,
+            nets = np.fromiter(self._forces.keys(), dtype=np.intp,
                                count=n)
-            masks = np.zeros((n, n_words), dtype=np.uint64)
-            vbits = np.zeros((n, n_words), dtype=np.uint64)
-            kbits = np.zeros((n, n_words), dtype=np.uint64)
-            for i, entry in enumerate(self._forces.values()):
-                for w in range(n_words):
-                    sh = LANE_WORD * w
-                    masks[i, w] = (entry[0] >> sh) & M64
-                    vbits[i, w] = (entry[1] >> sh) & M64
-                    kbits[i, w] = (entry[2] >> sh) & M64
-            self._force_cache = (nets, masks, vbits, kbits)
+            keep = np.zeros((n, n_words), dtype=np.uint64)
+            rails = np.zeros((2, n, n_words), dtype=np.uint64)
+            for i, (lanes, vbits, kbits) in enumerate(self._forces.values()):
+                keep[i] = mask_to_words(~lanes & self._full, n_words)
+                rails[0, i] = mask_to_words(kbits ^ vbits, n_words)
+                rails[1, i] = mask_to_words(vbits, n_words)
+            levels = set(self.c.net_comb_level[nets].tolist())
+            levels.discard(-1)
+            self._force_cache = (nets, keep, rails, levels)
         return self._force_cache
-
-    def _apply_forces(self) -> None:
-        if self._forces:
-            nets, masks, vbits, kbits = self._force_arrays()
-            self.val[nets] = (self.val[nets] & ~masks) | vbits
-            self.known[nets] = (self.known[nets] & ~masks) | kbits
-
-    def _force_levels(self):
-        if not self._forces:
-            return ()
-        levels = {int(self.c.net_comb_level[n]) for n in self._forces}
-        levels.discard(-1)
-        return levels
 
     # -- settling ------------------------------------------------------------
     def settle(self) -> None:
-        """Re-settle combinational logic across all lanes at once."""
-        if not self.incremental or self._needs_full or \
-                len(self._dirty) > self._dirty_limit:
-            self._settle_full()
-            return
-        if not self._dirty and not self._dirty_groups:
+        """Re-settle combinational logic across all lanes at once, one
+        lane level table at a time.
+
+        Returns at once (a no-op settle) when no live lane's bit changed
+        since the last settle and :meth:`mark_all_dirty` was not called.
+        """
+        if not self._dirty:
             self.noop_settles += 1
             return
-        self._settle_incremental()
-
-    def _settle_full(self) -> None:
-        self._apply_forces()
-        if self._forces:
-            force_levels = self._force_levels()
-            for level, kernel in self.kernels.levels:
-                kernel(self.val, self.known)
-                if level in force_levels:
-                    self._apply_forces()
-        else:
-            # the fused whole-schedule kernel: no per-level dispatch
-            self.kernels.sweep(self.val, self.known)
-        self._dirty.clear()
-        self._dirty_groups.clear()
-        self._needs_full = False
-        self.full_settles += 1
-
-    def _settle_incremental(self) -> None:
-        c = self.c
+        n = self.c.n_nets
+        flat, rails = self._rails, self._rails3
         val, known = self.val, self.known
-        active = self.planes.mask_words(self.active_mask)
-        affected = np.zeros(c.n_groups, dtype=bool)
-        ptr, fanout = c.fanout_ptr, c.fanout_groups
-        # the union over per-lane dirty masks picks the groups: one
-        # packed evaluation covers every lane, so a group is either
-        # re-run for all lanes or for none
-        for net in self._dirty:
-            start, end = ptr[net], ptr[net + 1]
-            if start != end:
-                affected[fanout[start:end]] = True
-        for grp in self._dirty_groups:
-            affected[grp] = True
-        self._apply_forces()
-        force_levels = self._force_levels()
-        group_kernels = self.kernels.groups
-        for gi, grp in enumerate(c.schedule):
-            if not affected[gi]:
-                continue
-            out = grp.out
-            old_v, old_k = val[out], known[out]   # fancy index == copy
-            new_v, new_k = group_kernels[gi](val, known)
-            val[out] = new_v
-            known[out] = new_k
-            if grp.level in force_levels:
-                self._apply_forces()
-                new_v, new_k = val[out], known[out]
-            # per-lane change detection: only live lanes propagate
-            changed = ((new_v ^ old_v) | (new_k ^ old_k)) & active
-            if changed.any():
-                for pos in np.nonzero(changed.any(axis=1))[0]:
-                    net = int(out[pos])
-                    start, end = ptr[net], ptr[net + 1]
-                    if start != end:
-                        affected[fanout[start:end]] = True
-        self._dirty.clear()
-        self._dirty_groups.clear()
-        self.incremental_settles += 1
+        np.bitwise_xor(known, val, out=rails[0, :n])
+        rails[1, :n] = val
+        if self._forces:
+            f_nets, f_keep, f_rails, f_levels = self._force_arrays()
+            rails[:, f_nets] = (rails[:, f_nets] & f_keep) | f_rails
+        else:
+            f_levels = ()
+        for lvl, gather, scatter in self.kernels.tables:
+            # rails of (select; d0, d1), each (zero, one): the Kleene
+            # mux per rail is (d0 & (s_zero | d1)) | (s_one & d1)
+            legs = flat[gather]
+            out = legs[0, 0] | legs[2]
+            out &= legs[1]
+            legs[2] &= legs[0, 1]
+            out |= legs[2]
+            flat[scatter] = out
+            if lvl in f_levels:
+                rails[:, f_nets] = (rails[:, f_nets] & f_keep) | f_rails
+        val[...] = rails[1, :n]
+        np.bitwise_or(rails[0, :n], rails[1, :n], out=known)
+        self._dirty = False
+        self.full_settles += 1
 
     def clock_edge(self) -> None:
         """One positive edge for every live lane (staged NBA commit)."""
@@ -476,15 +449,11 @@ class BatchCycleSim:
                 nv = r_off & nv
             staged.append((out, nv, nk))
         for out, nv, nk in staged:
-            changed = ((nv ^ val[out]) | (nk ^ known[out])) & active
+            if not self._dirty and \
+                    (((nv ^ val[out]) | (nk ^ known[out])) & active).any():
+                self._dirty = True
             val[out] = nv
             known[out] = nk
-            if changed.any():
-                dirty = self._dirty
-                for pos in np.nonzero(changed.any(axis=1))[0]:
-                    net = int(out[pos])
-                    dirty[net] = dirty.get(net, 0) \
-                        | words_to_int(changed[pos])
         for lane in self.active_lanes():
             self.lane_cycle[lane] += 1
 
@@ -576,23 +545,9 @@ class BatchCycleSim:
                 f"{lane}: forces do not survive a restore; re-apply "
                 f"them after restoring", ForcedRestoreWarning,
                 stacklevel=2)
-        w, wb = lane_word_bit(lane)
-        sh, one = np.uint64(wb), np.uint64(1)
-        cur_v = (self.val[sn, w] >> sh) & one
-        cur_k = (self.known[sn, w] >> sh) & one
-        new_v = state.net_val.astype(np.uint64)
-        new_k = state.net_known.astype(np.uint64)
-        changed = ((cur_v ^ new_v) | (cur_k ^ new_k)).astype(bool)
-        if changed.any():
-            idx = sn[changed]
-            inv = np.uint64(~(1 << wb) & M64)
-            self.val[idx, w] = (self.val[idx, w] & inv) \
-                | (new_v[changed] << sh)
-            self.known[idx, w] = (self.known[idx, w] & inv) \
-                | (new_k[changed] << sh)
-            dirty = self._dirty
-            for net in idx.tolist():
-                dirty[net] = dirty.get(net, 0) | bit
+        # the settle's dual rails need val inside known
+        self._write_column(lane, sn, state.net_val & state.net_known,
+                           state.net_known)
         memories = self.lane_memories[lane]
         for name, snap in state.memories.items():
             memories[name].restore(snap)
@@ -647,10 +602,7 @@ class LaneView:
         return self.b.lane_get_net(self.lane, net)
 
     def set_bus(self, nets: Sequence[int], value: LVec) -> None:
-        if len(nets) != value.width:
-            raise ValueError("bus width mismatch")
-        for net, bitval in zip(nets, value.bits):
-            self.b.lane_set_net(self.lane, net, bitval)
+        self.b.lane_set_bus(self.lane, nets, value)
 
     def get_bus(self, nets: Sequence[int]) -> LVec:
         return self.b.lane_get_bus(self.lane, nets)

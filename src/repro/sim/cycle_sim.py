@@ -146,13 +146,11 @@ class CompiledNetlist:
 
     The levelized ``(level, kind)`` evaluation schedule is also
     concatenated into one level table per topological level
-    (:attr:`levels`), which :meth:`CycleSim.settle` evaluates.  For the
-    batched engine's incremental settle the compile step builds the
-    *fanout-cone index*: a CSR mapping ``net -> schedule groups that
-    read it`` (:attr:`fanout_ptr` / :attr:`fanout_groups`), the comb
-    level of each net's driver (:attr:`net_comb_level`, ``-1`` for
-    primary inputs, flop outputs and ties), and a ``gate -> schedule
-    group`` map (:attr:`gate_group`).
+    (:attr:`levels`), which :meth:`CycleSim.settle` evaluates and from
+    which the batched engine derives its lane level tables
+    (:mod:`repro.sim.batch_kernels`).  :attr:`net_comb_level` holds the
+    comb level of each net's driver (``-1`` for primary inputs, flop
+    outputs and ties): forces are re-asserted after those levels.
 
     Compilation is pure and the result is immutable, so instances are
     shared freely between simulators; use :func:`compile_netlist` to get
@@ -184,7 +182,6 @@ class CompiledNetlist:
             out = np.array([netlist.gates[gi].output for gi in gate_ids],
                            dtype=np.int64)
             self.schedule.append(_Group(kind, ins, out, lvl))
-        self.n_groups = len(self.schedule)
 
         self.levels = _level_tables(self.schedule)
         self.ties: List[Tuple[str, np.ndarray]] = [
@@ -217,33 +214,10 @@ class CompiledNetlist:
         for g in netlist.gates:
             self.driver[g.output] = g.index
 
-        # gate -> position of its group in the comb schedule (-1 for
-        # flops and ties), and net -> comb level of its driver
-        self.gate_group = np.full(len(netlist.gates), -1, dtype=np.int64)
-        for pos, grp_entry in enumerate(sorted(buckets.items())):
-            for gi in grp_entry[1]:
-                self.gate_group[gi] = pos
+        # net -> comb level of its driver (-1: no comb driver)
         self.net_comb_level = np.full(self.n_nets, -1, dtype=np.int64)
-        for g in netlist.gates:
-            if self.gate_group[g.index] >= 0:
-                self.net_comb_level[g.output] = levels[g.index]
-
-        # fanout-cone index (CSR): net -> comb schedule groups reading it
-        fan: List[List[int]] = [[] for _ in range(self.n_nets)]
-        for g in netlist.gates:
-            grp_pos = self.gate_group[g.index]
-            if grp_pos < 0:
-                continue
-            for net in set(g.inputs):
-                fan[net].append(int(grp_pos))
-        counts = np.zeros(self.n_nets + 1, dtype=np.int64)
-        flat: List[int] = []
-        for net, groups in enumerate(fan):
-            uniq = sorted(set(groups))
-            counts[net + 1] = len(uniq)
-            flat.extend(uniq)
-        self.fanout_ptr = np.cumsum(counts)
-        self.fanout_groups = np.array(flat, dtype=np.int64)
+        for lvl, _ins, _offset, out in self.levels:
+            self.net_comb_level[out] = lvl
 
 
 #: per-process compiled-netlist cache keyed by netlist object identity
@@ -406,11 +380,11 @@ class CycleSim:
         """After a release the net's own driver owns it again: a comb
         driver re-derives it at the next settle, a tie is re-tied in
         place; PIs and flop outputs keep the last value."""
+        if self.c.net_comb_level[net] >= 0:
+            self._dirty = True
+            return
         drv = self.c.driver[net]
         if drv < 0:
-            return
-        if self.c.gate_group[drv] >= 0:
-            self._dirty = True
             return
         kind = self.c.netlist.gates[drv].kind
         if kind in ("TIE0", "TIE1"):

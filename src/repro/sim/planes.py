@@ -19,14 +19,14 @@ The *storage* differs only in width:
 * :class:`LanePlanes` -- ``(n_nets, n_words)`` uint64, **one bit per
   lane**: bit ``b`` of word ``w`` is lane ``w * 64 + b``.  Bitwise
   ``& | ^ ~`` over the words advances every lane at once, and widening
-  a plane from 64 to N x 64 lanes is just ``n_words = N`` -- the fused
-  kernels (:mod:`repro.sim.batch_kernels`) index nets on axis 0 and
-  broadcast over the word axis unchanged.
+  a plane from 64 to N x 64 lanes is just ``n_words = N`` -- the lane
+  level tables (:mod:`repro.sim.batch_kernels`) address each net's
+  words as one contiguous run.
 
-Lane *bookkeeping* masks (active lanes, armed lanes, per-lane force and
-dirty masks) stay arbitrary-precision Python ints -- one bit per lane,
-however many words the planes span -- and the helpers below convert
-between those ints and per-word uint64 rows at the numpy boundary.
+Lane *bookkeeping* masks (active lanes, armed lanes, per-lane force
+masks) stay arbitrary-precision Python ints -- one bit per lane, however
+many words the planes span -- and :func:`mask_to_words` converts them
+to per-word uint64 rows at the numpy boundary.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ def mask_to_words(mask: int, n_words: int) -> np.ndarray:
     return np.fromiter(((mask >> (LANE_WORD * w)) & M64
                         for w in range(n_words)),
                        dtype=np.uint64, count=n_words)
-
-
-def words_to_int(row: np.ndarray) -> int:
-    """A ``(n_words,)`` uint64 row as one Python-int lane mask."""
-    mask = 0
-    for w, word in enumerate(row.tolist()):
-        mask |= word << (LANE_WORD * w)
-    return mask
 
 
 def column_bits(arr: np.ndarray, lane: int) -> np.ndarray:

@@ -7,12 +7,15 @@ engine is cross-checked against the event-driven kernel on randomly
 generated netlists and random four-valued stimulus.
 """
 
+import warnings
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.logic import Logic
+from repro.logic import Logic, LVec
 from repro.netlist import Netlist
-from repro.sim import CompiledNetlist, CycleSim, EventSim
+from repro.sim import (BatchCycleSim, CompiledNetlist, CycleSim, EventSim,
+                       ForcedRestoreWarning)
 
 COMB_KINDS = ["AND", "OR", "XOR", "NAND", "NOR", "XNOR", "NOT", "BUF",
               "MUX2"]
@@ -265,3 +268,96 @@ class TestResynthesisPreservesSemantics:
             if va.is_known or vb.is_known:
                 from repro.logic import covers
                 assert covers(va, vb) or va is vb
+
+
+class TestBatchLaneEquivalence:
+    """The batched engine's lane level tables against the serial level
+    table: every live lane is its own serial simulation."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_lanes_straddling_words_match_serial_sims(self, data):
+        """3-4 live lanes on both sides of a word boundary at 128 lanes,
+        each with its own pokes, forces, releases, snapshots and
+        restores, advance through shared settles and edges.  After each
+        one every lane equals a CycleSim driven the same way, and no
+        live lane has a ``val`` bit without its ``known`` bit."""
+        nl = data.draw(random_seq_netlist())
+        compiled = CompiledNetlist(nl)
+        n_nets = len(nl.nets)
+        lanes = data.draw(st.lists(st.integers(0, 127), min_size=3,
+                                   max_size=4, unique=True)
+                          .filter(lambda ls: min(ls) < 64 <= max(ls)))
+        batch = BatchCycleSim(compiled, lanes=128)
+        for lane in range(batch.capacity):
+            batch.alloc_lane()
+        for lane in range(batch.capacity):
+            if lane not in lanes:
+                batch.drop_lane(lane)
+        serials = {lane: CycleSim(compiled) for lane in lanes}
+        forced = {lane: set() for lane in lanes}
+        snaps = {lane: [] for lane in lanes}
+
+        def lanes_alike():
+            for lane, serial in serials.items():
+                val, known = batch.lane_planes(lane)
+                assert not (val & ~known).any(), f"lane {lane}"
+                assert (val == serial.val).all(), f"lane {lane}"
+                assert (known == serial.known).all(), f"lane {lane}"
+
+        def settle_all():
+            batch.settle()
+            for serial in serials.values():
+                serial.settle()
+            lanes_alike()
+
+        for _ in range(5):
+            for lane, serial in serials.items():
+                values = [data.draw(logic_vals) for _ in nl.inputs]
+                if data.draw(st.booleans()):
+                    batch.lane_set_bus(lane, nl.inputs, LVec(values))
+                else:
+                    for net, value in zip(nl.inputs, values):
+                        batch.lane_set_net(lane, net, value)
+                serial.set_bus(nl.inputs, LVec(values))
+                op = data.draw(st.integers(0, 5))
+                if op == 0:
+                    net = data.draw(st.integers(0, n_nets - 1))
+                    value = data.draw(logic_vals)
+                    batch.lane_force(lane, net, value)
+                    serial.force(net, value)
+                    forced[lane].add(net)
+                elif op == 1 and forced[lane]:
+                    net = data.draw(st.sampled_from(sorted(forced[lane])))
+                    batch.lane_release(lane, net)
+                    serial.release(net)
+                    forced[lane].discard(net)
+                elif op == 2:
+                    batch.lane_release(lane)
+                    serial.release()
+                    forced[lane].clear()
+                elif op == 3:
+                    lane_snap, serial_snap = (batch.lane_snapshot(lane),
+                                              serial.snapshot())
+                    assert (lane_snap.net_val == serial_snap.net_val).all()
+                    assert (lane_snap.net_known
+                            == serial_snap.net_known).all()
+                    snaps[lane].append((lane_snap, serial_snap))
+                elif op == 4 and snaps[lane]:
+                    lane_snap, serial_snap = data.draw(
+                        st.sampled_from(snaps[lane]))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ForcedRestoreWarning)
+                        # the lane's restore settles every lane
+                        batch.lane_restore(lane, lane_snap)
+                        serial.restore(serial_snap)
+                    for other in serials.values():
+                        other.settle()
+                    lanes_alike()
+                    forced[lane].clear()
+            settle_all()
+            batch.clock_edge()
+            for serial in serials.values():
+                serial.clock_edge()
+            lanes_alike()
+            settle_all()

@@ -6,20 +6,28 @@ stimulus -- values, X propagation, forces, activity planes, snapshots.
 The serial engine is the oracle throughout.
 """
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.logic import Logic, LVec
+from repro.logic.tables import COMB_EVAL
 from repro.logic.value import coerce
 from repro.netlist import Netlist
 from repro.rtl import Design
 from repro.sim import (LANE_CAPACITY, BatchCycleSim, CompiledNetlist,
                        CycleSim, ForcedRestoreWarning, LaneCapacityError,
-                       XMemory, batch_kernels_for)
+                       XMemory, batch_kernels_for, compile_netlist)
+from repro.sim.batch_kernels import reference_sweep
+from repro.workloads import built_core
 
 LOGICS = (Logic.L0, Logic.L1, Logic.X)
+#: every comb gate of :func:`all_kinds_netlist` and its input pins
+KIND_PINS = {"AND": "ab", "OR": "ab", "XOR": "ab", "NAND": "ab",
+             "NOR": "ab", "XNOR": "ab", "NOT": "a", "BUF": "b",
+             "MUX2": "abs"}
 
 
 def all_kinds_netlist():
@@ -48,9 +56,9 @@ def counter_netlist():
 
 
 class TestKernelParity:
-    def test_fused_kernels_match_serial_on_every_kind(self):
-        """The generated bitwise kernels and the serial evaluators are
-        the same four-valued function, for every input combination."""
+    def test_lane_tables_match_serial_on_every_kind(self):
+        """The lane level tables and the serial gate table are the same
+        four-valued function, for every input combination."""
         nl = all_kinds_netlist()
         compiled = CompiledNetlist(nl)
         serial = CycleSim(compiled)
@@ -81,31 +89,51 @@ class TestKernelParity:
             batch_kernels_for(c1)
 
     def test_divergent_lanes_settle_independently(self):
-        """27 lanes, one input combination each, one shared settle."""
+        """128 lanes, one of the 27 input combinations each (every
+        combination in both plane words), one shared settle: every comb
+        kind's output in every lane is its COMB_EVAL value."""
         nl = all_kinds_netlist()
-        compiled = CompiledNetlist(nl)
-        batch = BatchCycleSim(compiled)
-        a, b, s = (nl.net_index(n) for n in ("a", "b", "s"))
-        combos = [(va, vb, vs) for va in LOGICS for vb in LOGICS
-                  for vs in LOGICS]
-        lanes = []
-        for va, vb, vs in combos:
-            lane = batch.alloc_lane()
-            batch.lane_set_net(lane, a, va)
-            batch.lane_set_net(lane, b, vb)
-            batch.lane_set_net(lane, s, vs)
-            lanes.append(lane)
+        batch = BatchCycleSim(CompiledNetlist(nl), lanes=128)
+        pins = {p: nl.net_index(p) for p in "abs"}
+        combos = [dict(zip("abs", ins)) for ins in
+                  itertools.product(LOGICS, repeat=3)]
+        for lane in range(batch.capacity):
+            assert batch.alloc_lane() == lane
+            for pin, value in combos[lane % len(combos)].items():
+                batch.lane_set_net(lane, pins[pin], value)
         batch.settle()
-        serial = CycleSim(compiled)
-        for lane, (va, vb, vs) in zip(lanes, combos):
-            serial.set_net(a, va)
-            serial.set_net(b, vb)
-            serial.set_net(s, vs)
-            serial.settle()
-            for name in ("y_AND", "y_XOR", "y_MUX2", "y_NOT"):
-                net = nl.net_index(name)
-                assert batch.lane_get_net(lane, net) is \
-                    serial.get_net(net), (name, va, vb, vs)
+        for lane in range(batch.capacity):
+            combo = combos[lane % len(combos)]
+            for kind, kind_pins in KIND_PINS.items():
+                want = COMB_EVAL[kind]([combo[p] for p in kind_pins])
+                got = batch.lane_get_net(lane, nl.net_index(f"y_{kind}"))
+                assert got is want, (kind, lane, combo)
+            assert batch.lane_get_net(lane, nl.net_index("y_T0")) is \
+                Logic.L0
+            assert batch.lane_get_net(lane, nl.net_index("y_T1")) is \
+                Logic.L1
+
+    @pytest.mark.parametrize("n_words", [1, 2, 4])
+    @pytest.mark.parametrize("design", ["bm32", "omsp430", "dr5"])
+    def test_lane_tables_match_reference_sweep_on_random_planes(
+            self, design, n_words):
+        """On X-laden random planes (``val`` inside ``known``) one settle
+        equals the fused per-group reference sweep bit for bit."""
+        compiled = compile_netlist(built_core(design)[0])
+        batch = BatchCycleSim(compiled, lanes=64 * n_words)
+        for _ in range(batch.capacity):
+            batch.alloc_lane()
+        rng = np.random.default_rng(n_words)
+        shape = batch.known.shape
+        batch.known[...] = rng.integers(0, 2**64, shape, dtype=np.uint64)
+        batch.val[...] = rng.integers(0, 2**64, shape, dtype=np.uint64) \
+            & batch.known
+        val, known = batch.val.copy(), batch.known.copy()
+        batch.mark_all_dirty()
+        batch.settle()
+        reference_sweep(compiled)(val, known)
+        assert (batch.val == val).all()
+        assert (batch.known == known).all()
 
 
 class TestLaneLifecycle:
@@ -650,3 +678,159 @@ class TestMultiWordPlanes:
         assert k1 is not k2
         assert batch_kernels_for(compiled, 2) is k2
         assert batch_kernels_for(compiled) is k1
+
+
+def bus_netlist(width=12):
+    """``width`` primary inputs ``d[i]`` and an AND chain over them."""
+    nl = Netlist("bus")
+    ins = [nl.add_net(f"d[{i}]") for i in range(width)]
+    for net in ins:
+        nl.mark_input(net)
+    acc = ins[0]
+    for i, net in enumerate(ins[1:]):
+        out = nl.add_net(f"and{i}")
+        nl.add_gate(f"g{i}", "AND", [acc, net], out)
+        acc = out
+    nl.mark_output(acc)
+    return nl
+
+
+class TestLaneSetBus:
+    def test_matches_per_bit_lane_set_net(self):
+        """Random X-laden buses, forces in the written lane and in other
+        lanes, lanes on both sides of a word boundary: one masked bus
+        write leaves the planes exactly as per-bit writes do."""
+        nl = bus_netlist()
+        compiled = CompiledNetlist(nl)
+        nets = nl.bus("d", 12)
+        bus, bits = (BatchCycleSim(compiled, lanes=128) for _ in range(2))
+        for sim in (bus, bits):
+            for _ in range(sim.capacity):
+                sim.alloc_lane()
+            sim.lane_force(63, nets[2], Logic.L1)
+            sim.lane_force(64, nets[2], Logic.X)
+            sim.lane_force(64, nets[7], Logic.L0)
+            sim.lane_force(1, nets[7], Logic.L1)
+        rng = np.random.default_rng(5)
+        for lane in (0, 1, 62, 63, 64, 65, 127):
+            for _ in range(4):
+                value = LVec([LOGICS[i] for i in rng.integers(0, 3, 12)])
+                bus.lane_set_bus(lane, nets, value)
+                for net, level in zip(nets, value.bits):
+                    bits.lane_set_net(lane, net, level)
+                assert (bus.val == bits.val).all()
+                assert (bus.known == bits.known).all()
+        bus.settle()
+        bits.settle()
+        assert (bus.val == bits.val).all()
+        assert (bus.known == bits.known).all()
+
+    def test_identical_rewrite_leaves_next_settle_a_noop(self):
+        nl = bus_netlist()
+        batch = BatchCycleSim(CompiledNetlist(nl), lanes=128)
+        lane = [batch.alloc_lane() for _ in range(70)][-1]
+        nets = nl.bus("d", 12)
+        value = LVec.from_str("1X0110X10011")
+        batch.lane_set_bus(lane, nets, value)
+        batch.settle()
+        full = batch.full_settles
+        batch.lane_set_bus(lane, nets, value)
+        batch.settle()
+        assert (batch.full_settles, batch.noop_settles) == (full, 1)
+        assert batch.lane_get_bus(lane, nets) == value
+
+    def test_width_mismatch_rejected(self):
+        nl = bus_netlist()
+        batch = BatchCycleSim(CompiledNetlist(nl))
+        lane = batch.alloc_lane()
+        with pytest.raises(ValueError):
+            batch.lane_set_bus(lane, nl.bus("d", 12), LVec.zeros(11))
+
+
+class TestSettleCounters:
+    """One dirty flag: a settle evaluates every level only after a bit
+    of a live lane changed, and is otherwise a noop that leaves the
+    planes untouched."""
+
+    LANE = 64           # first lane of the second plane word
+
+    def settled(self):
+        """A 128-lane counter with lanes 0-65 counting, settled."""
+        nl = counter_netlist()
+        batch = BatchCycleSim(CompiledNetlist(nl), lanes=128)
+        rst = nl.net_index("rst")
+        for _ in range(66):
+            batch.lane_set_net(batch.alloc_lane(), rst, Logic.L1)
+        batch.settle()
+        batch.clock_edge()
+        for lane in batch.active_lanes():
+            batch.lane_set_net(lane, rst, Logic.L0)
+        batch.settle()
+        return nl, batch
+
+    def settle_kinds(self, batch, action):
+        """``(full, noop)`` settles of one settle after ``action()``."""
+        full, noop = batch.full_settles, batch.noop_settles
+        action()
+        batch.settle()
+        return batch.full_settles - full, batch.noop_settles - noop
+
+    def comb_net(self, batch):
+        return int(np.flatnonzero(batch.c.net_comb_level >= 0)[0])
+
+    def test_unchanged_settle_is_a_noop_and_leaves_the_planes(self):
+        _nl, batch = self.settled()
+        before = [arr.copy() for arr in batch.planes.arrays()]
+        assert self.settle_kinds(batch, lambda: None) == (0, 1)
+        for old, new in zip(before, batch.planes.arrays()):
+            assert (old == new).all()
+
+    def test_fork_of_a_settled_lane_keeps_the_noop(self):
+        _nl, batch = self.settled()
+        assert self.settle_kinds(
+            batch, lambda: batch.fork_lane(self.LANE)) == (0, 1)
+
+    def test_alloc_lane_makes_the_next_settle_full(self):
+        _nl, batch = self.settled()
+        assert self.settle_kinds(batch, batch.alloc_lane) == (1, 0)
+
+    @pytest.mark.parametrize("action", [
+        "lane_set_net", "lane_set_bus", "lane_force", "lane_release",
+        "clock_edge", "lane_restore"])
+    def test_live_lane_change_makes_the_next_settle_full(self, action):
+        nl, batch = self.settled()
+        lane, rst = self.LANE, nl.net_index("rst")
+        comb = self.comb_net(batch)
+        flipped = Logic.L1 if batch.lane_get_net(lane, comb) is Logic.L0 \
+            else Logic.L0
+        if action == "lane_release":
+            batch.lane_force(lane, comb, flipped)
+            batch.settle()
+        snap = batch.lane_snapshot(lane)
+        if action == "lane_restore":
+            batch.clock_edge()
+            batch.settle()
+        do = {
+            "lane_set_net": lambda: batch.lane_set_net(lane, rst, Logic.X),
+            "lane_set_bus": lambda: batch.lane_set_bus(
+                lane, [rst], LVec([Logic.L1])),
+            "lane_force": lambda: batch.lane_force(lane, comb, flipped),
+            "lane_release": lambda: batch.lane_release(lane, comb),
+            "clock_edge": batch.clock_edge,
+            "lane_restore": lambda: batch.lane_restore(lane, snap,
+                                                       settle=False),
+        }[action]
+        assert self.settle_kinds(batch, do) == (1, 0)
+
+    def test_edge_that_changes_only_dead_lanes_is_a_noop(self):
+        nl, batch = self.settled()
+        rst = nl.net_index("rst")
+        for lane in list(batch.active_lanes()):
+            if lane == self.LANE:
+                batch.drop_lane(lane)        # still counting, now dead
+            else:
+                batch.lane_set_net(lane, rst, Logic.L1)
+        batch.settle()
+        batch.clock_edge()                  # live lanes reset to 0
+        batch.settle()
+        assert self.settle_kinds(batch, batch.clock_edge) == (0, 1)
