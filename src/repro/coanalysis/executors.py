@@ -27,6 +27,7 @@ import numpy as np
 from ..logic.value import Logic
 from ..logic.vector import LVec
 from ..sim.cycle_sim import ForcedRestoreWarning, compile_netlist
+from ..sim.planes import CODE_DTYPE, CODE_LEVEL, LEVEL_CODE
 from ..sim.state import SimState
 from .backend import (PendingPath, SegmentResult, SimBackend,
                       prepare_initial_state, simulate_segment)
@@ -140,7 +141,8 @@ class EventSimBridge:
     """A CycleSim-compatible facade over :class:`EventSim`.
 
     Exposes the slice of the :class:`~repro.sim.cycle_sim.CycleSim`
-    surface the harness and executor touch -- net/bus access, memories,
+    surface the harness and executor touch -- net/bus/code access
+    (converted one bit at a time), memories,
     settle/clock_edge, force/release, snapshot/restore, and the toggle
     activity planes -- backed by the event-driven kernel.  Snapshots use
     the same ``compiled.state_nets`` layout as CycleSim, so CSM
@@ -191,6 +193,18 @@ class EventSimBridge:
 
     def get_bus(self, nets) -> LVec:
         return LVec([self.es.get_logic(n) for n in nets])
+
+    def set_codes(self, nets, codes) -> None:
+        if len(nets) != len(codes):
+            raise ValueError("bus width mismatch")
+        for net, code in zip(np.asarray(nets).tolist(),
+                             np.asarray(codes).tolist()):
+            self.set_net(net, CODE_LEVEL[code])
+
+    def get_codes(self, nets) -> np.ndarray:
+        get = self.es.get_logic
+        return np.fromiter((LEVEL_CODE[get(n)] for n in nets),
+                           dtype=CODE_DTYPE, count=len(nets))
 
     def set_input(self, name: str, value) -> None:
         nl = self.netlist

@@ -10,6 +10,12 @@ initialization, memory port service).
 Processor models in :mod:`repro.processors` subclass this; anything else
 (an accelerator, a custom FSM) can too -- the co-analysis engine only sees
 this interface.
+
+The observers the engine calls every cycle read net codes, not
+:class:`~repro.logic.vector.LVec`: :meth:`SymbolicTarget.current_pc`
+decodes the PC bus from ``sim.get_codes`` and
+:meth:`SymbolicTarget.monitored_has_x` looks for a code without its
+``known`` byte among the ``$monitor_x`` nets.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import List, Optional
 from ..logic.value import Logic
 from ..netlist.netlist import Netlist
 from ..sim.cycle_sim import CompiledNetlist, CycleSim, compile_netlist
+from ..sim.planes import codes_window
 
 
 class SymbolicTarget:
@@ -95,7 +102,8 @@ class SymbolicTarget:
         """Concrete PC value, or None when the PC contains Xs."""
         if not self.pc_nets:
             return None
-        return sim.get_bus(self.pc_nets).to_int_or(None)  # type: ignore[arg-type]
+        lo, hi = codes_window(sim.get_codes(self.pc_nets))
+        return lo if lo == hi else None
 
     def at_branch_point(self, sim: CycleSim) -> Logic:
         """Settled value of the branch-point qualifier."""
@@ -105,7 +113,8 @@ class SymbolicTarget:
 
     def monitored_has_x(self, sim: CycleSim) -> bool:
         """``$monitor_x`` condition over the control-flow signal list."""
-        return any(not sim.get_net(n).is_known for n in self.monitored_nets)
+        codes = sim.get_codes(self.monitored_nets)
+        return 0 in codes.tobytes()[1::2]       # a missing known byte
 
     def is_done(self, sim: CycleSim) -> bool:
         """Program-termination condition (e.g. PC parked at a halt loop)."""

@@ -10,11 +10,21 @@ metadata.
 Because everything is bound *by net name*, the same class drives both an
 original core and its re-synthesized bespoke netlist (whose internal
 structure differs but whose port names survive).
+
+The port service runs on net codes: each port's nets are cached as an
+index array at construction, :meth:`CoreTarget.drive` is one
+``sim.get_codes`` of the address bus, one
+:meth:`~repro.sim.memory.XMemory.read` and one ``sim.set_codes`` of the
+data bus per read port, and :meth:`CoreTarget.on_edge` commits a store
+from the codes of the address and write-data buses.  No per-bit
+:class:`~repro.logic.vector.LVec` is built on the per-cycle path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
+
+import numpy as np
 
 from ..coanalysis.target import SymbolicTarget
 from ..isa.asm import Program
@@ -51,11 +61,15 @@ class CoreTarget(SymbolicTarget):
 
         nl = netlist
         self.pc_nets = nl.bus(meta.pc_port, meta.pc_width)
-        self._pmem_addr = nl.bus(meta.pmem_addr_port, meta.pc_width)
-        self._pmem_data = nl.bus(meta.pmem_data_port, meta.word_width)
-        self._dmem_addr = nl.bus(meta.dmem_addr_port, meta.dmem_addr_width)
-        self._dmem_rdata = nl.bus(meta.dmem_rdata_port, meta.word_width)
-        self._dmem_wdata = nl.bus(meta.dmem_wdata_port, meta.word_width)
+
+        def port(name: str, width: int) -> np.ndarray:
+            return np.array(nl.bus(name, width), dtype=np.intp)
+
+        self._pmem_addr = port(meta.pmem_addr_port, meta.pc_width)
+        self._pmem_data = port(meta.pmem_data_port, meta.word_width)
+        self._dmem_addr = port(meta.dmem_addr_port, meta.dmem_addr_width)
+        self._dmem_rdata = port(meta.dmem_rdata_port, meta.word_width)
+        self._dmem_wdata = port(meta.dmem_wdata_port, meta.word_width)
         self._dmem_we = nl.net_index(meta.dmem_we_port)
         self.monitored_nets = [nl.net_index(n)
                                for n in meta.monitored_net_names()
@@ -102,19 +116,19 @@ class CoreTarget(SymbolicTarget):
             dmem.load_word(addr, value)
 
     def drive(self, sim: CycleSim) -> None:
-        sim.set_bus(self._pmem_data,
-                    self.rom.read(sim.get_bus(self._pmem_addr)))
+        sim.set_codes(self._pmem_data,
+                      self.rom.read(sim.get_codes(self._pmem_addr)))
         dmem = sim.memories[DMEM_NAME]
-        sim.set_bus(self._dmem_rdata,
-                    dmem.read(sim.get_bus(self._dmem_addr)))
+        sim.set_codes(self._dmem_rdata,
+                      dmem.read(sim.get_codes(self._dmem_addr)))
 
     def on_edge(self, sim: CycleSim) -> None:
         we = sim.get_net(self._dmem_we)
         if we is Logic.L0:
             return
         dmem = sim.memories[DMEM_NAME]
-        dmem.write(sim.get_bus(self._dmem_addr),
-                   sim.get_bus(self._dmem_wdata), enable=we)
+        dmem.write(sim.get_codes(self._dmem_addr),
+                   sim.get_codes(self._dmem_wdata), enable=we)
 
     def is_done(self, sim: CycleSim) -> bool:
         if self._halt_pc is None:

@@ -47,10 +47,10 @@ import numpy as np
 from ..logic.value import Logic
 from ..logic.vector import LVec
 from .batch_kernels import batch_kernels_for
-from .cycle_sim import _LEVEL_CODE, CompiledNetlist, ForcedRestoreWarning
+from .cycle_sim import CompiledNetlist, ForcedRestoreWarning
 from .memory import XMemory
 from .planes import (CODE_DTYPE, M64, LanePlanes, column_bits,
-                     lane_word_bit, mask_to_words)
+                     lane_word_bit, mask_to_words, to_codes, to_lvec)
 from .state import SimState
 
 #: default lane capacity (one plane word); pass ``lanes=128/256/...``
@@ -239,22 +239,26 @@ class BatchCycleSim:
                                            else (word_k & ~wbit))
             self._dirty = True
 
-    def lane_set_bus(self, lane: int, nets: Sequence[int],
-                     value: LVec) -> None:
-        """Drive ``nets`` with ``value`` in one lane: one masked write
-        of the bits that changed.  Nets this lane has forced are left
-        alone, as :meth:`lane_set_net` leaves them."""
-        if len(nets) != value.width:
-            raise ValueError("bus width mismatch")
+    def lane_set_codes(self, lane: int, nets: Sequence[int],
+                       codes: np.ndarray) -> None:
+        """Drive ``nets`` with net ``codes`` in one lane: one masked
+        write of the bits that changed.  Nets this lane has forced are
+        left alone, as :meth:`lane_set_net` leaves them."""
         idx = np.asarray(nets, dtype=np.intp)
-        codes = np.fromiter(map(_LEVEL_CODE.__getitem__, value.bits),
-                            dtype=CODE_DTYPE, count=value.width)
-        if self._forces and not self._forces.keys().isdisjoint(nets):
+        codes = np.asarray(codes, dtype=CODE_DTYPE)
+        if len(idx) != len(codes):
+            raise ValueError("bus width mismatch")
+        if self._forces and \
+                not self._forces.keys().isdisjoint(idx.tolist()):
             bit = 1 << lane
             free = np.array([not self._forces.get(n, (0,))[0] & bit
-                             for n in nets])
+                             for n in idx.tolist()])
             idx, codes = idx[free], codes[free]
         self._write_column(lane, idx, codes & 1, codes >> 8)
+
+    def lane_set_bus(self, lane: int, nets: Sequence[int],
+                     value: LVec) -> None:
+        self.lane_set_codes(lane, nets, to_codes(value))
 
     def _write_column(self, lane: int, idx: np.ndarray, val: np.ndarray,
                       known: np.ndarray) -> None:
@@ -262,11 +266,13 @@ class BatchCycleSim:
         ``idx``, flipping exactly the bits that differ."""
         w, wb = lane_word_bit(lane)
         sh, one = np.uint64(wb), np.uint64(1)
-        flip_v = ((self.val[idx, w] >> sh) & one) ^ val
-        flip_k = ((self.known[idx, w] >> sh) & one) ^ known
+        # index the lane's word column: a view, cheaper than [idx, w]
+        col_v, col_k = self.val[:, w], self.known[:, w]
+        flip_v = ((col_v[idx] >> sh) & one) ^ val
+        flip_k = ((col_k[idx] >> sh) & one) ^ known
         if flip_v.any() or flip_k.any():
-            self.val[idx, w] ^= flip_v << sh
-            self.known[idx, w] ^= flip_k << sh
+            col_v[idx] ^= flip_v << sh
+            col_k[idx] ^= flip_k << sh
             self._dirty = True
 
     def lane_get_net(self, lane: int, net: int) -> Logic:
@@ -276,14 +282,16 @@ class BatchCycleSim:
             return Logic.X
         return Logic.L1 if int(self.val[net, w]) & wbit else Logic.L0
 
-    def lane_get_bus(self, lane: int, nets: Sequence[int]) -> LVec:
-        idx = np.asarray(nets, dtype=np.int64)
+    def lane_get_codes(self, lane: int, nets: Sequence[int]) -> np.ndarray:
+        """One lane's canonical net codes of ``nets``."""
         w, wb = lane_word_bit(lane)
         sh, one = np.uint64(wb), np.uint64(1)
-        vals = ((self.val[idx, w] >> sh) & one).tolist()
-        knowns = ((self.known[idx, w] >> sh) & one).tolist()
-        return LVec([(Logic.L1 if v else Logic.L0) if k else Logic.X
-                     for v, k in zip(vals, knowns)])
+        known = (self.known[:, w][nets] >> sh) & one
+        val = (self.val[:, w][nets] >> sh) & known
+        return (val | known << np.uint64(8)).astype(CODE_DTYPE)
+
+    def lane_get_bus(self, lane: int, nets: Sequence[int]) -> LVec:
+        return to_lvec(self.lane_get_codes(lane, nets))
 
     def mark_all_dirty(self) -> None:
         """Make the next settle evaluate every level (after writing
@@ -606,6 +614,12 @@ class LaneView:
 
     def get_bus(self, nets: Sequence[int]) -> LVec:
         return self.b.lane_get_bus(self.lane, nets)
+
+    def set_codes(self, nets: Sequence[int], codes: np.ndarray) -> None:
+        self.b.lane_set_codes(self.lane, nets, codes)
+
+    def get_codes(self, nets: Sequence[int]) -> np.ndarray:
+        return self.b.lane_get_codes(self.lane, nets)
 
     def set_input(self, name: str, value) -> None:
         nl = self.b.c.netlist

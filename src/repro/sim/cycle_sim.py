@@ -21,9 +21,19 @@ code up in :data:`GATE_TABLE`.  That table is generated from
 :data:`repro.logic.tables.COMB_EVAL`, the evaluators the event kernel
 uses, so both engines take their gate semantics from one place.
 
+A clock edge is one lookup too.  Every flop's ``(q, d, e, r)`` port
+codes (a pin the kind lacks repeats ``d``) are gathered at once,
+weighted ``1, 2, 4, 8``, offset by the flop kind's slot and looked up
+in :data:`FLOP_TABLE`, which is generated from ``COMB_EVAL["MUX2"]``
+composed exactly as the event kernel's ``EventSim._flop_next`` composes
+it: an enable muxes hold against load, then a reset muxes that against
+0.  Every next state is computed before the one scatter commits them,
+which keeps the non-blocking (NBA) semantics of a real edge.
+
 The engine supports the three paper-specific features directly:
 
-* **monitoring** -- arbitrary net lists can be read back as
+* **monitoring** -- arbitrary net lists can be read back as net codes
+  (:meth:`CycleSim.get_codes`, the testbench's fast path) or as
   :class:`~repro.logic.vector.LVec`;
 * **state save/restore** -- :meth:`CycleSim.snapshot` /
   :meth:`CycleSim.restore` capture flop outputs, primary inputs and
@@ -49,15 +59,9 @@ from ..logic.vector import LVec
 from ..netlist.cells import LIBRARY
 from ..netlist.netlist import Netlist
 from .memory import XMemory
-from .planes import CODE_0, CODE_1, CODE_DTYPE, CODE_X, BoolPlanes
+from .planes import (CODE_0, CODE_1, CODE_DTYPE, CODE_LEVEL, CODE_X,
+                     LEVEL_CODE, BoolPlanes, to_codes, to_lvec)
 from .state import SimState
-
-#: net code of each level, indexed by ``Logic`` (``Z`` reads as ``X``)
-_LEVEL_CODE = (CODE_0, CODE_1, CODE_X, CODE_X)
-#: level of each net code; codes with ``known`` clear read as ``X``
-_CODE_LEVEL = tuple(Logic.L0 if c == CODE_0 else
-                    Logic.L1 if c == CODE_1 else Logic.X
-                    for c in range(CODE_1 + 1))
 
 #: comb kinds the level table evaluates, in table-slot order (ties are
 #: constants, set once and never re-evaluated)
@@ -77,7 +81,7 @@ def _build_gate_table() -> np.ndarray:
     """
     inputs = list(itertools.product((Logic.X, Logic.L0, Logic.L1),
                                     repeat=3))
-    index = np.array([[_LEVEL_CODE[x] for x in ins] for ins in inputs],
+    index = np.array([[LEVEL_CODE[x] for x in ins] for ins in inputs],
                      dtype=CODE_DTYPE) @ _WEIGHTS
     table = np.full(len(TABLE_KINDS) * _SLOT, CODE_X, dtype=CODE_DTYPE)
     for slot, kind in enumerate(TABLE_KINDS):
@@ -85,12 +89,49 @@ def _build_gate_table() -> np.ndarray:
         # padded ports repeat port 0: evaluating them too would make
         # XOR(a, b) the 3-input XOR(a, b, a)
         table[slot * _SLOT + index] = [
-            _LEVEL_CODE[COMB_EVAL[kind](ins[:arity])] for ins in inputs]
+            LEVEL_CODE[COMB_EVAL[kind](ins[:arity])] for ins in inputs]
     return table
 
 
 #: output code by ``slot * _SLOT + codes @ _WEIGHTS``; built at import
 GATE_TABLE = _build_gate_table()
+
+#: flop kinds :data:`FLOP_TABLE` evaluates, in table-slot order
+FLOP_KINDS = ("DFF", "DFFE", "DFFR", "DFFER")
+#: weights of a flop's ``(q, d, e, r)`` port codes (one slot, as above)
+_FLOP_WEIGHTS = np.array([1, 2, 4, 8], dtype=CODE_DTYPE)
+_FLOP_SLOT = 16 << 8
+
+
+def _flop_next(kind: str, q: Logic, d: Logic, e: Logic, r: Logic) -> Logic:
+    """A flop's next state, composed from ``MUX2`` the way the event
+    kernel's ``EventSim._flop_next`` composes it: the enable picks
+    between hold and load, then the reset picks between that and 0."""
+    mux2 = COMB_EVAL["MUX2"]                  # pins (D0, D1, S)
+    if kind in ("DFFE", "DFFER"):
+        d = mux2((q, d, e))
+    if kind in ("DFFR", "DFFER"):
+        d = mux2((d, Logic.L0, r))
+    return d
+
+
+def _build_flop_table() -> np.ndarray:
+    """Next-state code of every flop kind on every ``(q, d, e, r)``
+    ``X/0/1`` input; unreachable entries read ``X``."""
+    inputs = list(itertools.product((Logic.X, Logic.L0, Logic.L1),
+                                    repeat=4))
+    index = np.array([[LEVEL_CODE[x] for x in ins] for ins in inputs],
+                     dtype=CODE_DTYPE) @ _FLOP_WEIGHTS
+    table = np.full(len(FLOP_KINDS) * _FLOP_SLOT, CODE_X, dtype=CODE_DTYPE)
+    for slot, kind in enumerate(FLOP_KINDS):
+        table[slot * _FLOP_SLOT + index] = [
+            LEVEL_CODE[_flop_next(kind, *ins)] for ins in inputs]
+    return table
+
+
+#: next Q code by ``slot * _FLOP_SLOT + codes @ _FLOP_WEIGHTS``; built
+#: at import
+FLOP_TABLE = _build_flop_table()
 
 
 class ForcedRestoreWarning(RuntimeWarning):
@@ -151,6 +192,8 @@ class CompiledNetlist:
     (:mod:`repro.sim.batch_kernels`).  :attr:`net_comb_level` holds the
     comb level of each net's driver (``-1`` for primary inputs, flop
     outputs and ties): forces are re-asserted after those levels.
+    :attr:`flop_ports` and :attr:`flop_offset` hold every flop as one
+    :data:`FLOP_TABLE` lookup (see :meth:`CycleSim.clock_edge`).
 
     Compilation is pure and the result is immutable, so instances are
     shared freely between simulators; use :func:`compile_netlist` to get
@@ -202,6 +245,20 @@ class CompiledNetlist:
             out = np.array([netlist.gates[gi].output for gi in gate_ids],
                            dtype=np.int64)
             self.flops.append(_Group(kind, ins, out, 0))
+
+        # the same flops as one FLOP_TABLE lookup: (q, d, e, r) port
+        # nets per flop (absent pins repeat d) and each flop's slot
+        seq = [g for g in netlist.gates if g.is_sequential]
+        self.flop_ports = np.array(
+            [[g.output for g in seq],
+             [g.inputs[0] for g in seq],
+             [g.inputs[1] if g.kind in ("DFFE", "DFFER") else g.inputs[0]
+              for g in seq],
+             [g.inputs[-1] if g.kind in ("DFFR", "DFFER") else g.inputs[0]
+              for g in seq]], dtype=np.intp).reshape(4, len(seq))
+        self.flop_offset = np.array(
+            [FLOP_KINDS.index(g.kind) * _FLOP_SLOT for g in seq],
+            dtype=CODE_DTYPE)
 
         # state nets: flop outputs + primary inputs (the restorable part)
         state: List[int] = [n for n in netlist.inputs]
@@ -306,29 +363,39 @@ class CycleSim:
             # would resurface after release in settle-timing-dependent
             # ways (and diverge from the event kernel)
             return
-        code = _LEVEL_CODE[value]
+        code = LEVEL_CODE[value]
         if self.code[net] != code:
             self.code[net] = code
             self._dirty = True
 
     def get_net(self, net: int) -> Logic:
-        return _CODE_LEVEL[self.code[net]]
+        return CODE_LEVEL[self.code[net]]
 
-    def set_bus(self, nets: Sequence[int], value: LVec) -> None:
-        if len(nets) != value.width:
-            raise ValueError("bus width mismatch")
+    def set_codes(self, nets: Sequence[int], codes: np.ndarray) -> None:
+        """Drive ``nets`` with net ``codes`` in one write.  Forced nets
+        are left alone, as :meth:`set_net` leaves them, and the dirty
+        flag is set only when a bit changes."""
         idx = np.asarray(nets, dtype=np.intp)
-        codes = np.fromiter(map(_LEVEL_CODE.__getitem__, value.bits),
-                            dtype=CODE_DTYPE, count=value.width)
-        if self._forces and not self._forces.keys().isdisjoint(nets):
-            free = np.array([n not in self._forces for n in nets])
+        codes = np.asarray(codes, dtype=CODE_DTYPE)
+        if len(idx) != len(codes):
+            raise ValueError("bus width mismatch")
+        if self._forces and \
+                not self._forces.keys().isdisjoint(idx.tolist()):
+            free = np.array([n not in self._forces for n in idx.tolist()])
             idx, codes = idx[free], codes[free]
-        if (self.code[idx] != codes).any():
+        if self.code[idx].tobytes() != codes.tobytes():
             self.code[idx] = codes
             self._dirty = True
 
+    def get_codes(self, nets: Sequence[int]) -> np.ndarray:
+        """The net codes of ``nets`` (a copy)."""
+        return self.code[nets]
+
+    def set_bus(self, nets: Sequence[int], value: LVec) -> None:
+        self.set_codes(nets, to_codes(value))
+
     def get_bus(self, nets: Sequence[int]) -> LVec:
-        return LVec([_CODE_LEVEL[c] for c in self.code[nets].tolist()])
+        return to_lvec(self.get_codes(nets))
 
     def set_input(self, name: str, value) -> None:
         """Drive a named primary input (scalar Logic/int or LVec)."""
@@ -359,7 +426,7 @@ class CycleSim:
         """
         self._forces[net] = (value is Logic.L1, value.is_known)
         self._force_cache = None
-        if self.code[net] != _LEVEL_CODE[value]:
+        if self.code[net] != LEVEL_CODE[value]:
             self._dirty = True       # the pin takes effect at settle
 
     def release(self, net: Optional[int] = None) -> None:
@@ -448,44 +515,19 @@ class CycleSim:
     def clock_edge(self) -> None:
         """Advance all flops one positive edge (synchronous semantics).
 
-        All next-state values are computed from the pre-edge planes
-        before any are committed (the vectorized equivalent of the
-        event kernel's NBA region) -- a flop chained directly to
-        another flop's output must sample its pre-edge value even when
-        the two land in different kind groups.
+        One :data:`FLOP_TABLE` lookup computes every next state from the
+        pre-edge codes before any is committed (the vectorized
+        equivalent of the event kernel's NBA region), so a flop chained
+        directly to another flop's output samples its pre-edge value.
         """
-        val, known = self.val, self.known
-        staged: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for grp in self.c.flops:
-            kind = grp.kind
-            out = grp.out
-            d = grp.ins[0]
-            vd, kd = val[d], known[d]
-            vq, kq = val[out], known[out]
-            if kind in ("DFFE", "DFFER"):
-                e = grp.ins[1]
-                ve, ke = val[e], known[e]
-                hold_v, hold_k = vq, kq
-                agree = kd & kq & (vd == vq)
-                nv = np.where(ke, np.where(ve, vd, hold_v), agree & vd)
-                nk = np.where(ke, np.where(ve, kd, hold_k), agree)
-            else:
-                nv, nk = vd.copy(), kd.copy()
-            if kind in ("DFFR", "DFFER"):
-                r = grp.ins[-1]
-                vr, kr = val[r], known[r]
-                r_on = kr & vr
-                r_off = kr & ~vr
-                known_zero = nk & ~nv
-                nk = np.where(r_on, True, np.where(r_off, nk, known_zero))
-                nv = np.where(r_on, False, np.where(r_off, nv, False))
-            staged.append((out, nv, nk))
-        for out, nv, nk in staged:
-            if not self._dirty and \
-                    ((nv != val[out]) | (nk != known[out])).any():
-                self._dirty = True
-            val[out] = nv
-            known[out] = nk
+        ports = self.c.flop_ports
+        codes = self.code[ports]
+        index = _FLOP_WEIGHTS @ codes
+        index += self.c.flop_offset
+        nxt = FLOP_TABLE.take(index)
+        if nxt.tobytes() != codes[0].tobytes():
+            self.code[ports[0]] = nxt
+            self._dirty = True
         self.cycle += 1
 
     # -- activity ---------------------------------------------------------------

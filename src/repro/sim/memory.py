@@ -5,24 +5,42 @@ initializes input-dependent regions to ``X`` (Listing 1).  :class:`XMemory`
 is that array: every word is a pair of numpy bitplanes ``(val, known)``
 with ``known == 0`` meaning the bit is symbolic.
 
-Writes honour four-valued control:
+The planes pair the way :class:`~repro.sim.planes.BoolPlanes` pairs a
+simulator's nets: ``val`` and ``known`` are the two columns of one
+``(words, width, 2)`` bool array, so :attr:`XMemory.code` is the same
+storage as a ``(words, width)`` *code plane* of 2-byte net codes.  The
+harness services its ports on codes end to end -- it gathers an
+address's codes from the simulator, :meth:`XMemory.read` returns the
+word's codes, and the simulator scatters them onto the data bus -- so a
+port access builds no per-bit :class:`~repro.logic.vector.LVec`.  An
+``LVec`` argument still works: it is converted at entry.
 
-* write-enable ``X``: the write *may* happen, so each written word becomes
-  the merge of its old and new contents;
-* any address bit ``X``: the write could land anywhere in the addressable
-  window, so every word merges with the data (sound, maximally
+Reads and writes honour four-valued control:
+
+* a known address reads one row of the code plane (all-X past the end);
+* an address with ``X`` bits could select any word of its window
+  ``[lo, hi]``: a read returns the merge of those rows (one reduction,
+  all-X when the window reaches past the last word), and a write merges
+  the data into every row of the window (sound, maximally
   conservative).  A counter records how often this fallback fired so
-  benchmarks can report it.
+  benchmarks can report it;
+* write-enable ``X``: the write *may* happen, so the written word becomes
+  the merge of its old and new contents.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
 from ..logic.value import Logic
 from ..logic.vector import LVec
+from .planes import (CANONICAL, CODE_DTYPE, codes_window, paired, to_codes,
+                     to_lvec)
+
+#: an address or data word: LSB-first net codes, or an :class:`LVec`
+Word = Union[np.ndarray, LVec]
 
 
 class XMemory:
@@ -34,8 +52,8 @@ class XMemory:
         self.name = name
         self.words = words
         self.width = width
-        self.val = np.zeros((words, width), dtype=bool)
-        self.known = np.ones((words, width), dtype=bool)
+        self.val, self.known, self.code = paired((words, width))
+        self.known[:] = True
         self.x_addr_writes = 0
         self.x_en_writes = 0
 
@@ -72,74 +90,57 @@ class XMemory:
         self.known[:] = False
 
     # -- four-valued access ---------------------------------------------------
-    def read(self, addr: LVec) -> LVec:
+    def read(self, addr: Word) -> Word:
         """Read under a possibly-symbolic address.
 
-        A fully known address reads one word; an address with ``X`` bits
-        returns the merge of every word it could select (conservative).
-        An address past the last word reads all-X, so a window reaching
-        past it does too.
+        ``addr`` is LSB-first net codes; the word comes back as
+        canonical codes (``val`` inside ``known``).  A fully known
+        address reads one word; an address with ``X`` bits returns the
+        merge of every word it could select (conservative).  An address
+        past the last word reads all-X, so a window reaching past it
+        does too.  An :class:`LVec` address reads an :class:`LVec`.
         """
-        if addr.is_known:
-            a = addr.to_int()
-            if a >= self.words:
-                return LVec.unknown(self.width)
-            return self._word(a)
-        lo, hi = self._addr_window(addr)
-        if hi > self.words:
-            return LVec.unknown(self.width)
-        val = self.val[lo]
-        known = (self.known[lo:hi] & (self.val[lo:hi] == val)).all(axis=0)
-        return _to_lvec(val & known, known)
+        if isinstance(addr, LVec):
+            return to_lvec(self._read(to_codes(addr)))
+        return self._read(addr)
+
+    def _read(self, addr: np.ndarray) -> np.ndarray:
+        lo, hi = codes_window(addr)
+        if hi >= self.words:
+            return np.zeros(self.width, dtype=CODE_DTYPE)      # all X
+        if lo == hi:
+            return CANONICAL.take(self.code[lo])
+        rows = self.code[lo:hi + 1]
+        first = rows[0]
+        # a column stays known where every word agrees with a known first
+        return first * ((rows == first).all(axis=0) & self.known[lo])
 
     def read_concrete(self, addr: int) -> LVec:
         self._check_addr(addr)
-        return self._word(addr)
+        return to_lvec(self.code[addr])
 
-    def write(self, addr: LVec, data: LVec, enable: Logic = Logic.L1) -> None:
+    def write(self, addr: Word, data: Word,
+              enable: Logic = Logic.L1) -> None:
         """Write under four-valued enable/address semantics."""
         if enable is Logic.L0:
             return
-        dval, dknown = _from_lvec(data)
-        if not addr.is_known:
+        if isinstance(addr, LVec):
+            addr = to_codes(addr)
+        if isinstance(data, LVec):
+            data = to_codes(data)
+        data = CANONICAL.take(data)
+        lo, hi = codes_window(addr)
+        if lo != hi:
             self.x_addr_writes += 1
-            lo, hi = self._addr_window(addr)
-            for w in range(lo, min(hi, self.words)):
-                self._merge_word(w, dval, dknown)
+            _merge(self.code[lo:hi + 1], data)    # the slice clips the end
             return
-        a = addr.to_int()
-        if a >= self.words:
+        if lo >= self.words:
             return
         if enable is Logic.L1:
-            self.val[a] = dval
-            self.known[a] = dknown
+            self.code[lo] = data
         else:  # enable X/Z: write may or may not occur
             self.x_en_writes += 1
-            self._merge_word(a, dval, dknown)
-
-    # -- internals -----------------------------------------------------------
-    def _word(self, addr: int) -> LVec:
-        return _to_lvec(self.val[addr], self.known[addr])
-
-    def _merge_word(self, addr: int, dval, dknown) -> None:
-        known = self.known[addr] & dknown & (self.val[addr] == dval)
-        self.val[addr] &= known
-        self.known[addr] = known
-
-    def _addr_window(self, addr: LVec) -> Tuple[int, int]:
-        """Smallest concrete address interval ``[lo, hi)`` covering a
-        symbolic address; ``hi`` may exceed :attr:`words`."""
-        lo = hi = 0
-        for i in reversed(range(addr.width)):
-            bit = addr[i]
-            lo <<= 1
-            hi <<= 1
-            if bit is Logic.L1:
-                lo |= 1
-                hi |= 1
-            elif bit is not Logic.L0:
-                hi |= 1
-        return lo, hi + 1
+            _merge(self.code[lo], data)
 
     # -- state management -------------------------------------------------------
     def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -156,9 +157,10 @@ class XMemory:
         return bool(ok.all())
 
     def merge_from(self, other: "XMemory") -> None:
-        known = self.known & other.known & (self.val == other.val)
-        self.val &= known
-        self.known = known
+        # in place: ``val``, ``known`` and ``code`` share one array
+        keep = self.known & (self.code == other.code)
+        self.val &= keep
+        self.known &= keep
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, XMemory)
@@ -172,14 +174,7 @@ class XMemory:
         raise TypeError("XMemory is unhashable")
 
 
-def _to_lvec(val: np.ndarray, known: np.ndarray) -> LVec:
-    bits = []
-    for v, k in zip(val.tolist(), known.tolist()):
-        bits.append((Logic.L1 if v else Logic.L0) if k else Logic.X)
-    return LVec(bits)
-
-
-def _from_lvec(vec: LVec) -> Tuple[np.ndarray, np.ndarray]:
-    val = np.array([b is Logic.L1 for b in vec.bits], dtype=bool)
-    known = np.array([b.is_known for b in vec.bits], dtype=bool)
-    return val, known
+def _merge(rows: np.ndarray, data: np.ndarray) -> None:
+    """Merge canonical ``data`` into code ``rows`` in place: a bit stays
+    known only where the row already holds the same known value."""
+    rows *= rows == data

@@ -27,13 +27,22 @@ Lane *bookkeeping* masks (active lanes, armed lanes, per-lane force
 masks) stay arbitrary-precision Python ints -- one bit per lane, however
 many words the planes span -- and :func:`mask_to_words` converts them
 to per-word uint64 rows at the numpy boundary.
+
+Everything outside settle -- the testbench's memory ports, the PC and
+``$monitor_x`` observers -- trades net codes too: :func:`to_codes` /
+:func:`to_lvec` convert at the :class:`~repro.logic.vector.LVec`
+boundary, and :func:`codes_window` decodes an LSB-first code array to
+integers without a per-bit Python loop.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
+
+from ..logic.value import Logic
+from ..logic.vector import LVec
 
 #: all bits of one plane word
 M64 = (1 << 64) - 1
@@ -50,6 +59,39 @@ CODE_DTYPE = np.dtype("<u2")
 CODE_X = 0x000
 CODE_0 = 0x100
 CODE_1 = 0x101
+
+#: net code of each level, indexed by ``Logic`` (``Z`` reads as ``X``)
+LEVEL_CODE = (CODE_0, CODE_1, CODE_X, CODE_X)
+#: level of each net code; codes with ``known`` clear read as ``X``
+CODE_LEVEL = tuple(Logic.L0 if c == CODE_0 else
+                   Logic.L1 if c == CODE_1 else Logic.X
+                   for c in range(CODE_1 + 1))
+#: each code as its canonical form (``val`` masked by ``known``)
+CANONICAL = np.array([LEVEL_CODE[level] for level in CODE_LEVEL],
+                     dtype=CODE_DTYPE)
+#: a code byte (0 or 1) as its ASCII digit, for ``int(..., 2)``
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def to_codes(vec: LVec) -> np.ndarray:
+    """An :class:`LVec` as its LSB-first net codes."""
+    return np.fromiter(map(LEVEL_CODE.__getitem__, vec.bits),
+                       dtype=CODE_DTYPE, count=vec.width)
+
+
+def to_lvec(codes: np.ndarray) -> LVec:
+    """LSB-first net codes as an :class:`LVec`."""
+    return LVec([CODE_LEVEL[c] for c in codes.tolist()])
+
+
+def codes_window(codes: np.ndarray) -> Tuple[int, int]:
+    """``(lo, hi)``: the unsigned value of LSB-first net ``codes`` with
+    every X bit read as 0 and as 1 (``lo == hi`` when all are known)."""
+    raw = codes.tobytes()
+    val = int(raw[-2::-2].translate(_DIGITS), 2)
+    known = int(raw[-1::-2].translate(_DIGITS), 2)
+    lo = val & known
+    return lo, lo | (known ^ ((1 << len(codes)) - 1))
 
 
 def lane_word_bit(lane: int) -> Tuple[int, int]:
@@ -83,20 +125,22 @@ class BoolPlanes:
 
     def __init__(self, n_nets: int):
         self.n_nets = n_nets
-        self.val, self.known, self.code = _paired(n_nets)  # all X
+        self.val, self.known, self.code = paired(n_nets)  # all X
         self.toggled = np.zeros(n_nets, dtype=bool)
         self.ever_x = np.zeros(n_nets, dtype=bool)
-        self.prev_val, self.prev_known, self.prev_code = _paired(n_nets)
+        self.prev_val, self.prev_known, self.prev_code = paired(n_nets)
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
         return (self.val, self.known, self.toggled, self.ever_x,
                 self.prev_val, self.prev_known)
 
 
-def _paired(n_nets: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(val, known, code)`` views of one zeroed ``(n_nets, 2)`` array."""
-    pair = np.zeros((n_nets, 2), dtype=bool)
-    return pair[:, 0], pair[:, 1], pair.view(CODE_DTYPE).reshape(n_nets)
+def paired(shape: Union[int, Tuple[int, ...]]
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(val, known, code)`` views of one zeroed ``shape + (2,)`` bool
+    array: ``code`` has ``shape`` and :data:`CODE_DTYPE`."""
+    pair = np.zeros(np.append(shape, 2), dtype=bool)
+    return pair[..., 0], pair[..., 1], pair.view(CODE_DTYPE)[..., 0]
 
 
 class LanePlanes:

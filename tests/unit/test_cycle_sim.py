@@ -7,11 +7,11 @@ import pytest
 
 from repro.logic import Logic, LVec
 from repro.logic.tables import COMB_EVAL
-from repro.netlist import COMB_KINDS, LIBRARY, TIE_KINDS, Netlist
+from repro.netlist import COMB_KINDS, LIBRARY, SEQ_KINDS, TIE_KINDS, Netlist
 from repro.rtl import Design, mux
-from repro.sim import (CompiledNetlist, CycleSim, ForcedRestoreWarning,
-                       XMemory, compile_netlist)
-from repro.sim.cycle_sim import TABLE_KINDS
+from repro.sim import (CompiledNetlist, CycleSim, EventSim,
+                       ForcedRestoreWarning, XMemory, compile_netlist)
+from repro.sim.cycle_sim import FLOP_KINDS, TABLE_KINDS
 
 
 def comb_xor_netlist():
@@ -165,6 +165,57 @@ class TestFlopSemantics:
         sim.set_input("e", Logic.X)
         sim.step()
         assert sim.get_net(nl.net_index("q")) is Logic.X
+
+    def test_flop_table_matches_event_kernel(self):
+        """All 81 X/0/1 assignments of ``(q, d, e, r)``, through one
+        flop of every kind sharing its pins: one ``clock_edge`` equals
+        the MUX2 composition of ``EventSim._flop_next`` on the same
+        pre-edge values."""
+        assert set(FLOP_KINDS) == SEQ_KINDS
+        nl = Netlist("flops")
+        pins = {p: nl.add_net(p.lower()) for p in "DER"}
+        for net in pins.values():
+            nl.mark_input(net)
+        gates = []
+        for kind in FLOP_KINDS:
+            q = nl.add_net(f"q_{kind}")
+            gates.append(nl.gates[nl.add_gate(
+                f"ff_{kind}", kind, [pins[p] for p in LIBRARY[kind].inputs],
+                q)])
+            nl.mark_output(q)
+        sim = CycleSim(CompiledNetlist(nl))
+        es = EventSim(nl)
+        for q, d, e, r in itertools.product(
+                (Logic.X, Logic.L0, Logic.L1), repeat=4):
+            for net, value in zip(pins.values(), (d, e, r)):
+                sim.set_net(net, value)
+                es.values[net] = value
+            for gate in gates:
+                sim.set_net(gate.output, q)
+                es.values[gate.output] = q
+            sim.clock_edge()
+            for gate in gates:
+                assert sim.get_net(gate.output) is es._flop_next(gate), \
+                    (gate.kind, q, d, e, r)
+
+    def test_edge_that_changes_no_q_keeps_the_next_settle_a_noop(self):
+        nl, sim = self.build_dff("DFFE")
+        sim.set_input("d", Logic.L1)
+        sim.set_input("e", Logic.L1)
+        sim.step()                       # q loads 1
+        sim.settle()
+        full = sim.full_settles
+        sim.clock_edge()                 # loads the same 1
+        sim.settle()
+        assert sim.full_settles == full
+        sim.set_input("e", Logic.X)
+        sim.set_input("d", Logic.L0)
+        sim.settle()
+        sim.clock_edge()                 # X enable, disagreeing d: q -> X
+        assert sim.get_net(nl.net_index("q")) is Logic.X
+        full = sim.full_settles
+        sim.settle()
+        assert sim.full_settles == full + 1
 
 
 class TestForcing:

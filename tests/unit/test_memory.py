@@ -1,29 +1,72 @@
 """Unit tests for the symbolic memory model."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.logic import Logic, LVec
 from repro.sim import XMemory
 
+LEVELS = (Logic.L0, Logic.L1, Logic.X)
+#: the net code of each address/data character
+CODE_OF = {"0": 0x100, "1": 0x101, "x": 0x000}
+
 
 def lv(text):
     return LVec.from_str(text)
 
 
+def codes(text):
+    """The MSB-first literal ``text`` as LSB-first net codes."""
+    return np.array([CODE_OF[ch] for ch in reversed(text)], dtype="<u2")
+
+
+def _level(m, w, i):
+    return (Logic.L1 if m.val[w, i] else Logic.L0) if m.known[w, i] \
+        else Logic.X
+
+
 def _loop_read(m, text):
-    """Reference symbolic read: merge the window ``[lo, hi)`` of the
-    MSB-first address ``text`` word by word; all-X past the end."""
+    """Reference read: merge the window ``[lo, hi)`` of the MSB-first
+    address ``text`` word by word and bit by bit; a known address
+    reads its one word, and a window reaching past the end reads
+    all-X."""
     lo = int(text.replace("x", "0"), 2)
     hi = int(text.replace("x", "1"), 2) + 1
     if hi > m.words:
         return LVec.unknown(m.width)
-    val = m.val[lo]
-    known = m.known[lo].copy()
-    for w in range(lo + 1, hi):
-        known &= m.known[w] & (m.val[w] == val)
-    return LVec([(Logic.L1 if v else Logic.L0) if k else Logic.X
-                 for v, k in zip(val.tolist(), known.tolist())])
+    bits = []
+    for i in range(m.width):
+        first = _level(m, lo, i)
+        same = all(_level(m, w, i) is first for w in range(lo, hi))
+        bits.append(first if same else Logic.X)
+    return LVec(bits)
+
+
+def _loop_write(m, text, data, enable):
+    """Reference write, the twin of :func:`_loop_read`: the four-valued
+    enable/address rules applied word by word and bit by bit."""
+    if enable is Logic.L0:
+        return
+    lo = int(text.replace("x", "0"), 2)
+    hi = int(text.replace("x", "1"), 2) + 1
+    if "x" in text:
+        m.x_addr_writes += 1
+        targets, merge = range(lo, min(hi, m.words)), True
+    elif lo >= m.words:
+        return
+    elif enable is Logic.L1:
+        targets, merge = [lo], False
+    else:
+        m.x_en_writes += 1
+        targets, merge = [lo], True
+    for w in targets:
+        for i, bit in enumerate(data.bits):
+            if merge and bit is not _level(m, w, i):
+                bit = Logic.X
+            m.val[w, i] = bit is Logic.L1
+            m.known[w, i] = bit.is_known
 
 
 class TestBasics:
@@ -109,6 +152,60 @@ class TestSymbolicRead:
                 text = "x" + text[1:]
             assert m.read(lv(text)) == _loop_read(m, text), (words, text)
 
+    def test_read_returns_canonical_codes_from_raw_planes(self):
+        """Planes built as above hold ``val`` bits without ``known``;
+        a code read still returns ``val`` inside ``known``."""
+        rng = np.random.default_rng(7)
+        m = XMemory(16, 12)
+        m.val[:] = rng.random((16, 12)) < 0.5
+        m.known[:] = rng.random((16, 12)) < 0.5
+        for chars in itertools.product("01x", repeat=4):
+            text = "".join(chars)
+            out = m.read(codes(text))
+            assert out.dtype == np.dtype("<u2")
+            assert ((out & 0xFF) <= (out >> 8)).all(), text
+            assert LVec([{0x100: Logic.L0, 0x101: Logic.L1}.get(
+                c, Logic.X) for c in out.tolist()]) == \
+                _loop_read(m, text), text
+
+
+class TestCodesMatchLVecReference:
+    def test_seeded_reads_and_writes(self):
+        """Code-array reads and writes against the per-bit reference:
+        X-laden contents, addresses with 0-3 X bits (windows inside,
+        reaching past and starting past the last word) and enables
+        0 / 1 / X."""
+        rng = np.random.default_rng(20261017)
+        for _ in range(150):
+            words = int(rng.integers(1, 40))
+            width = int(rng.integers(1, 17))
+            m = XMemory(words, width)
+            known = rng.random((words, width)) < 0.7
+            m.known[:] = known
+            m.val[:] = (rng.random((words, width)) < 0.5) & known
+            ref = XMemory(words, width)
+            ref.restore(m.snapshot())
+            addr_width = (words - 1).bit_length() + int(rng.integers(0, 2))
+            addr_width = max(addr_width, 3)
+            for _ in range(8):
+                chars = ["01"[b] for b in rng.integers(0, 2, addr_width)]
+                n_x = int(rng.integers(0, 4))
+                for pos in rng.choice(addr_width, n_x, replace=False):
+                    chars[pos] = "x"
+                text = "".join(chars)
+                out = m.read(codes(text))
+                want = _loop_read(ref, text)
+                assert out.tolist() == [CODE_OF[str(b)] for b in
+                                        want.bits], (words, text)
+                data = LVec([LEVELS[i] for i in rng.integers(0, 3, width)])
+                enable = LEVELS[int(rng.integers(0, 3))]
+                m.write(codes(text), codes(str(data)), enable=enable)
+                _loop_write(ref, text, data, enable)
+                assert m.code.tolist() == ref.code.tolist(), \
+                    (words, text, str(data), enable)
+                assert (m.x_addr_writes, m.x_en_writes) == \
+                    (ref.x_addr_writes, ref.x_en_writes)
+
 
 class TestWrites:
     def test_plain_write(self):
@@ -181,6 +278,20 @@ class TestStateOps:
         out = a.read_concrete(0)
         # 0101 merged with 0110: bits 0 and 1 differ -> X
         assert str(out) == "01xx"
+
+    def test_merge_from_keeps_the_code_plane_paired(self):
+        """``val``, ``known`` and ``code`` share one array: a merge that
+        rebinds ``known`` would leave ``code`` stale."""
+        a = XMemory(4, 8)
+        b = XMemory(4, 8)
+        a.load_word(0, 0b0101)
+        b.load_word(0, 0b0110)
+        b.set_unknown(2)
+        a.merge_from(b)
+        paired = a.val.astype("<u2") | a.known.astype("<u2") << 8
+        assert (a.code == paired).all()
+        assert str(a.read(LVec.from_int(0, 2))) == "000001xx"
+        assert a.read(LVec.from_int(2, 2)).count_x() == 8
 
     def test_equality(self):
         a = XMemory(2, 4)
