@@ -3,8 +3,7 @@
 The event-driven kernel reproduces the paper's iverilog architecture;
 the vectorized levelized engine is what makes whole-core co-analysis
 tractable in Python, and the bit-packed batched engine is what makes a
-*forked frontier* tractable: N x 64 lanes (``--lanes``) share every
-settle.  This
+*forked frontier* tractable: 64 lanes share every settle.  This
 bench quantifies the gaps in gate-evaluations/second on the largest
 core (bm32) and on a small circuit where the event kernel's sparseness
 wins back some ground, and records the headline numbers in
@@ -12,7 +11,6 @@ wins back some ground, and records the headline numbers in
 """
 
 import json
-import statistics
 import time
 import timeit
 from pathlib import Path
@@ -22,8 +20,8 @@ import pytest
 
 from repro.logic import Logic, LVec
 from repro.rtl import Design
-from repro.sim import (BatchCycleSim, CompiledNetlist, CycleSim, EventSim,
-                       compile_netlist)
+from repro.sim import (LANE_CAPACITY, BatchCycleSim, CompiledNetlist,
+                       CycleSim, EventSim, compile_netlist)
 from repro.sim.batch_kernels import reference_sweep
 from repro.workloads import built_core
 
@@ -36,15 +34,8 @@ MID_RUN_CYCLES = 40
 SETTLE_REPS = 50
 SETTLE_ROUNDS = 9
 SETTLE_MIN_SPEEDUP = 3.0
-BATCH_LANE_WIDTHS = [64, 128, 256]   # one trajectory entry per width
-BATCH_MIN_SPEEDUP = 5.0  # the ISSUE 7 acceptance bar, at every width
-#: widening 64 -> 256 lanes must buy >= this much *additional* lane
-#: throughput (lane-cycles per ms of batch wall clock): the per-settle
-#: fixed cost is shared by every word, so wider planes must not cost
-#: proportionally more
-BATCH_WIDEN_MIN_GAIN = 1.5
-#: paired 64/256-lane rounds behind the widening gate (odd: one median)
-WIDEN_ROUNDS = 11
+#: batched-vs-serial replay bar at the engine's 64 lanes
+BATCH_MIN_SPEEDUP = 5.0
 #: perf trajectory at the repo root -- committed, so the diff of this
 #: file in a PR *is* the perf regression report
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_engines.json"
@@ -237,11 +228,11 @@ def test_segment_replay_fork_heavy(benchmark):
     _assert_settle_beats_sweep("level-table settle", div, sweep)
 
     batch = BatchCycleSim(div.c, record_activity=False)
-    for _ in range(batch.capacity):
+    for _ in range(LANE_CAPACITY):
         batch.alloc_lane()
     every_lane = ~np.uint64(0)
-    batch.val[:, 0] = div.val * every_lane
-    batch.known[:, 0] = div.known * every_lane
+    batch.val[:] = div.val * every_lane
+    batch.known[:] = div.known * every_lane
     _assert_settle_beats_sweep("64-lane batched settle", batch, sweep)
     assert (batch.lane_planes(0)[0] == div.val).all()
 
@@ -276,22 +267,15 @@ def _assert_settle_beats_sweep(label, sim, sweep):
 
 
 def test_batch_engine_replay_speedup(benchmark):
-    """The tentpole claim: one batched settle advances a whole wave,
-    and widening the planes keeps paying.
+    """The tentpole claim: one batched settle advances a whole wave.
 
-    For each lane width in ``BATCH_LANE_WIDTHS`` (64/128/256), replays
-    the same warmed bm32 snapshot once per lane for ``CYCLES_BIG``
-    cycles as one lockstep batched run, requires bit-identical final
-    planes on every lane, and demands a >= BATCH_MIN_SPEEDUP win over
-    the serial engine replaying the same states one at a time.  The
-    serial side is measured once (64 replays) and scaled linearly --
-    serial replay cost is strictly per-state, so the extrapolation is
-    exact up to noise.  Widening must also *gain* lane throughput:
-    lane-cycles per batch-ms at 256 lanes >= BATCH_WIDEN_MIN_GAIN x
-    the 64-lane figure, as the median over WIDEN_ROUNDS paired rounds
-    (see below).  One entry per width -- including the lane
-    count and the compaction counters of a real batched co-analysis at
-    that width -- lands in the BENCH_engines.json trajectory.
+    Replays the same warmed bm32 snapshot once per lane for
+    ``CYCLES_BIG`` cycles as one lockstep 64-lane batched run, requires
+    bit-identical final planes on every lane, and demands a
+    >= BATCH_MIN_SPEEDUP win over the serial engine replaying the same
+    states one at a time.  The entry -- with the compaction counters of
+    a real batched co-analysis -- lands in the BENCH_engines.json
+    trajectory.
     """
     from repro.coanalysis.batch_executor import BatchSegmentExecutor
     from repro.coanalysis.kernel import ExplorationKernel
@@ -302,17 +286,16 @@ def test_batch_engine_replay_speedup(benchmark):
     serial = _warmed_sim(compiled)
     snap = serial.snapshot()
 
-    def serial_round(n):
-        for _ in range(n):
+    def serial_round():
+        for _ in range(LANE_CAPACITY):
             serial.restore(snap)
             for _ in range(CYCLES_BIG):
                 serial.step()
 
-    def batch_round(width):
-        batch = BatchCycleSim(compiled, record_activity=False,
-                              lanes=width)
+    def batch_round():
+        batch = BatchCycleSim(compiled, record_activity=False)
         lanes = []
-        for _ in range(width):
+        for _ in range(LANE_CAPACITY):
             lane = batch.alloc_lane()
             # the snapshot carries the input values (rst low, zeroed
             # memory buses) -- restore alone is the whole induction
@@ -324,100 +307,66 @@ def test_batch_engine_replay_speedup(benchmark):
         batch.settle()
         return batch, lanes
 
-    benchmark.pedantic(lambda: batch_round(BATCH_LANE_WIDTHS[0]),
-                       rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(batch_round, rounds=3, iterations=1,
+                       warmup_rounds=1)
 
-    # one serial measurement, linearly scaled per width (replay cost is
-    # per-state; there is nothing shared between serial replays)
-    base = BATCH_LANE_WIDTHS[0]
     t0 = time.perf_counter()
-    serial_round(base)
-    serial_per_lane_ms = (time.perf_counter() - t0) * 1000 / base
+    serial_round()
+    serial_ms = (time.perf_counter() - t0) * 1000
     serial.settle()
 
-    gate_counts = []
-    for width in BATCH_LANE_WIDTHS:
-        batch_round(width)             # warm the per-width lane tables
-        t0 = time.perf_counter()
-        batch, lanes = batch_round(width)
-        t_batch_ms = (time.perf_counter() - t0) * 1000
+    t0 = time.perf_counter()
+    batch, lanes = batch_round()
+    t_batch_ms = (time.perf_counter() - t0) * 1000
 
-        # equal results: every lane's final planes match the serial
-        # engine's, in every plane word
-        for lane in lanes:
-            val, known = batch.lane_planes(lane)
-            assert (val == serial.val).all()
-            assert (known == serial.known).all()
+    # equal results: every lane's final planes match the serial engine's
+    for lane in lanes:
+        val, known = batch.lane_planes(lane)
+        assert (val == serial.val).all()
+        assert (known == serial.known).all()
 
-        serial_ms = serial_per_lane_ms * width
-        speedup = serial_ms / t_batch_ms
-        throughput = width * CYCLES_BIG / t_batch_ms
-        print(f"\n  batched replay ({width} lanes x {CYCLES_BIG} "
-              f"cycles): serial {serial_ms:.1f} ms, "
-              f"batch {t_batch_ms:.1f} ms -> {speedup:.1f}x, "
-              f"{throughput:.0f} lane-cycles/ms")
+    speedup = serial_ms / t_batch_ms
+    throughput = LANE_CAPACITY * CYCLES_BIG / t_batch_ms
+    print(f"\n  batched replay ({LANE_CAPACITY} lanes x {CYCLES_BIG} "
+          f"cycles): serial {serial_ms:.1f} ms, "
+          f"batch {t_batch_ms:.1f} ms -> {speedup:.1f}x, "
+          f"{throughput:.0f} lane-cycles/ms")
 
-        # compaction accounting from a real batched co-analysis at this
-        # width (the replay loop above never retires a lane): capping
-        # live occupancy below inSort's frontier width forces freed
-        # slots to be refilled mid-wave, so the recorded counters
-        # exercise the compaction path, not just report zeros
-        coa = ExplorationKernel(
-            BatchSegmentExecutor(build_target("bm32", WORKLOADS["inSort"]),
-                                 lanes=width, max_lanes=4),
-            application="inSort", frontier="bfs").run()
-        stats = coa.batch_stats
-        assert stats.compactions > 0 and stats.refills > 0
-        gate_counts.append(coa.exercisable_gate_count)
-        _record_trajectory({
-            "date": time.strftime("%Y-%m-%d"),
-            "design": "bm32",
-            "gates": nl.gate_count(),
-            "lanes": width,
-            "cycles": CYCLES_BIG,
-            "serial_ms": round(serial_ms, 2),
-            "batch_ms": round(t_batch_ms, 2),
-            "speedup": round(speedup, 2),
-            "lane_cycles_per_ms": round(throughput, 1),
-            "coanalysis": {
-                "design": "bm32", "benchmark": "inSort",
-                "max_lanes": 4,
-                "waves": stats.waves,
-                "peak_lanes": stats.peak_lanes,
-                "compactions": stats.compactions,
-                "refills": stats.refills,
-                "realized_parallelism":
-                    round(stats.realized_parallelism(), 2),
-            },
-        })
-        assert speedup >= BATCH_MIN_SPEEDUP, (
-            f"{width}-lane batched replay only {speedup:.2f}x faster "
-            f"than serial (expected >= {BATCH_MIN_SPEEDUP}x)")
-
-    # the capped co-analysis dichotomy is lane-width-invariant too
-    assert len(set(gate_counts)) == 1, (
-        f"exercisable-gate count varies with lane width: {gate_counts}")
-
-    # the widening gate pairs its samples: each round times the narrow
-    # and the wide replay back to back, alternating which goes first,
-    # so both legs of a ratio share one stretch of a shared, noisy host.
-    # Single rounds still scatter widely; their median does not.
-    narrow, wide = BATCH_LANE_WIDTHS[0], BATCH_LANE_WIDTHS[-1]
-    ratios = []
-    for rnd in range(WIDEN_ROUNDS):
-        seconds = {}
-        for width in ((narrow, wide) if rnd % 2 == 0 else (wide, narrow)):
-            t0 = time.perf_counter()
-            batch_round(width)
-            seconds[width] = time.perf_counter() - t0
-        ratios.append((wide / seconds[wide]) / (narrow / seconds[narrow]))
-    widen_gain = statistics.median(ratios)
-    print(f"  widening {narrow} -> {wide} lanes: {widen_gain:.2f}x lane "
-          f"throughput (median of {WIDEN_ROUNDS} paired rounds, "
-          f"{min(ratios):.2f}-{max(ratios):.2f}x)")
-    assert widen_gain >= BATCH_WIDEN_MIN_GAIN, (
-        f"{wide}-lane planes only {widen_gain:.2f}x the {narrow}-lane "
-        f"lane throughput (expected >= {BATCH_WIDEN_MIN_GAIN}x)")
+    # compaction accounting from a real batched co-analysis (the replay
+    # loop above never retires a lane): capping live occupancy below
+    # inSort's frontier width forces freed slots to be refilled
+    # mid-wave, so the recorded counters exercise the compaction path,
+    # not just report zeros
+    coa = ExplorationKernel(
+        BatchSegmentExecutor(build_target("bm32", WORKLOADS["inSort"]),
+                             max_lanes=4),
+        application="inSort", frontier="bfs").run()
+    stats = coa.batch_stats
+    assert stats.compactions > 0 and stats.refills > 0
+    _record_trajectory({
+        "date": time.strftime("%Y-%m-%d"),
+        "design": "bm32",
+        "gates": nl.gate_count(),
+        "lanes": LANE_CAPACITY,
+        "cycles": CYCLES_BIG,
+        "serial_ms": round(serial_ms, 2),
+        "batch_ms": round(t_batch_ms, 2),
+        "speedup": round(speedup, 2),
+        "lane_cycles_per_ms": round(throughput, 1),
+        "coanalysis": {
+            "design": "bm32", "benchmark": "inSort",
+            "max_lanes": 4,
+            "waves": stats.waves,
+            "peak_lanes": stats.peak_lanes,
+            "compactions": stats.compactions,
+            "refills": stats.refills,
+            "realized_parallelism":
+                round(stats.realized_parallelism(), 2),
+        },
+    })
+    assert speedup >= BATCH_MIN_SPEEDUP, (
+        f"batched replay only {speedup:.2f}x faster than serial "
+        f"(expected >= {BATCH_MIN_SPEEDUP}x)")
 
 
 def test_traced_coanalysis_smoke(benchmark, artifact_dir):

@@ -64,13 +64,6 @@ def _run_budget(args) -> Optional[RunBudget]:
 
 
 def cmd_analyze(args) -> int:
-    if args.lanes is not None and args.engine != "batch":
-        print("error: --lanes requires --engine batch", file=sys.stderr)
-        return 2
-    if args.lanes is not None and (args.lanes <= 0 or args.lanes % 64):
-        print(f"error: --lanes must be a positive multiple of 64, "
-              f"got {args.lanes}", file=sys.stderr)
-        return 2
     result = run_one(args.design, args.benchmark,
                      strategy=CSM_STRATEGIES[args.csm](),
                      use_constraints=not args.no_constraints,
@@ -78,7 +71,7 @@ def cmd_analyze(args) -> int:
                      frontier=args.strategy, engine=args.engine,
                      trace=args.trace, progress=args.progress,
                      budget=_run_budget(args),
-                     cache=args.cache, lanes=args.lanes)
+                     cache=args.cache)
     summary = result.summary()
     if result.resumed:
         print(f"# resumed from checkpoint {args.checkpoint}",
@@ -401,7 +394,7 @@ def cmd_submit(args) -> int:
     client = ServiceClient(args.url)
     spec = {"design": args.design, "benchmark": args.benchmark,
             "csm": args.csm, "engine": args.engine,
-            "frontier": args.strategy, "lanes": args.lanes,
+            "frontier": args.strategy,
             "use_constraints": not args.no_constraints,
             "deadline_seconds": args.deadline,
             "max_rss_mb": args.max_rss_mb,
@@ -534,13 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conservative-state-manager merge strategy")
         p.add_argument("--engine", choices=ENGINES, default="serial",
                        help="simulation backend (default: serial; batch "
-                            "runs the whole frontier in lockstep, "
-                            "--lanes paths per settle)")
-        p.add_argument("--lanes", type=int, default=None, metavar="N",
-                       help="lane-plane width for --engine batch: paths "
-                            "simulated per lockstep settle (a multiple "
-                            "of 64; default 64).  Freed lanes are "
-                            "refilled from the frontier by compaction.")
+                            "runs the whole frontier in lockstep, up to "
+                            "64 paths per settle)")
         p.add_argument("--no-constraints", action="store_true",
                        help="ignore the workload's CSM constraint file")
         p.add_argument("--json", action="store_true")
@@ -680,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES, default="serial")
     p.add_argument("--strategy", choices=sorted(FRONTIER_STRATEGIES),
                    default="dfs")
-    p.add_argument("--lanes", type=int, default=None, metavar="N")
     p.add_argument("--no-constraints", action="store_true")
     p.add_argument("--deadline", type=float, default=None,
                    metavar="SECONDS")

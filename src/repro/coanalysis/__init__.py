@@ -1,23 +1,23 @@
 """Symbolic hardware-software co-analysis engine (Algorithm 1).
 
-The exploration loop lives in :class:`ExplorationKernel`; simulation
-backends (serial cycle engine, event-driven engine, lane-parallel
-batch) plug in as :class:`SimBackend`
-implementations (``SegmentExecutor`` is the compatibility alias),
-frontier ordering as :class:`FrontierStrategy` instances, and
-observability as trace sinks on a :class:`Tracer`.
+The one front door is :class:`CoAnalysisEngine`, run on any
+:class:`SymbolicTarget`.  The exploration loop lives in
+:class:`ExplorationKernel`; simulation backends (serial cycle engine,
+event-driven engine, lane-parallel batch) plug in as
+:class:`SimBackend` implementations, frontier ordering as
+:class:`FrontierStrategy` instances, and observability as trace sinks
+on a :class:`Tracer`.
 """
 
 from .backend import (SimBackend, boundary_outcome, prepare_initial_state,
                       simulate_segment)
 from .engine import CoAnalysisEngine
-from .event_engine import EventCoAnalysis
 from .executors import EventSimBridge, SerialExecutor
 from .frontier import (FRONTIER_STRATEGIES, BreadthFirstFrontier,
                        DepthFirstFrontier, FrontierStrategy,
                        NoveltyFrontier, make_frontier)
 from .kernel import (BatchContext, ExplorationKernel, PendingPath,
-                     SegmentExecutor, SegmentResult)
+                     SegmentResult)
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
                       PathRecord, ResumeMismatch, RunEvent)
 from .target import SymbolicTarget
@@ -26,10 +26,10 @@ from .trace import (JsonlTraceSink, MetricsAggregator, ProgressLine,
                     aggregate_trace, read_trace)
 
 __all__ = [
-    "ExplorationKernel", "SimBackend", "SegmentExecutor", "SegmentResult",
+    "ExplorationKernel", "SimBackend", "SegmentResult",
     "BatchContext", "PendingPath",
     "boundary_outcome", "prepare_initial_state", "simulate_segment",
-    "CoAnalysisEngine", "EventCoAnalysis",
+    "CoAnalysisEngine",
     "SerialExecutor", "EventSimBridge",
     "FrontierStrategy", "DepthFirstFrontier", "BreadthFirstFrontier",
     "NoveltyFrontier", "FRONTIER_STRATEGIES", "make_frontier",

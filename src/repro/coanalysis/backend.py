@@ -12,15 +12,17 @@ plumbing:
   total-cycle budget per finished segment).
 
 This module is the single home for all three.  Backends implement
-:class:`SimBackend` (the protocol the exploration kernel drives --
-``SegmentExecutor`` remains as a compatibility alias) and reuse
-:func:`simulate_segment` / :func:`boundary_outcome` /
+:class:`SimBackend` (the protocol the exploration kernel drives) and
+reuse :func:`simulate_segment` / :func:`boundary_outcome` /
 :func:`prepare_initial_state` instead of restating the loop, so a
 semantics fix lands once and every engine inherits it.  The lockstep
 batch executor cannot call :func:`simulate_segment` directly (its
 cycles advance all lanes at once) but shares
 :func:`boundary_outcome`, keeping the halt policy literally the same
-expression on every engine.
+expression on every engine -- the event engine included: its settle
+drains every event region of the time step, the Symbolic region last,
+before the check reads the monitored signals, so the check sees what
+the paper's ``$monitor_x`` task sees.
 """
 
 from __future__ import annotations
@@ -144,10 +146,6 @@ class SimBackend:
 
     def close(self) -> None:
         """Release sims/files; called exactly once, even on error."""
-
-
-#: compatibility alias -- the protocol's pre-rename spelling
-SegmentExecutor = SimBackend
 
 
 def boundary_outcome(target, sim) -> Optional[str]:

@@ -25,10 +25,10 @@ whole batch instead of draining to a straggler per fixed sub-wave;
 ``BatchRunStats.refills``/``compactions`` count how often that happened
 and flow into each ``"batch"`` trace event.
 
-The plane capacity is ``lanes`` (any multiple of 64; the sim grows
-word-columns, see :class:`~repro.sim.planes.LanePlanes`), while
-``max_lanes`` caps live occupancy within it -- useful in tests to force
-compaction with tiny waves.
+The plane holds :data:`~repro.sim.planes.LANE_CAPACITY` (64) lanes,
+one ``uint64`` word per net; ``max_lanes`` caps live occupancy within
+it -- tests and ``bench_engines`` use it to force compaction with tiny
+waves.
 
 Per-cycle semantics mirror :func:`~repro.coanalysis.backend.simulate_segment`
 exactly -- drive-to-fixpoint, boundary checks
@@ -53,7 +53,6 @@ from typing import Dict, List, Optional
 
 from ..logic.value import Logic
 from ..sim.batch_sim import LANE_CAPACITY, BatchCycleSim, LaneView
-from ..sim.planes import LANE_WORD
 from ..sim.state import SimState
 from .backend import (BatchContext, PendingPath, SegmentResult, SimBackend,
                       boundary_outcome, prepare_initial_state,
@@ -118,25 +117,16 @@ class BatchSegmentExecutor(SimBackend):
     def __init__(self, target: SymbolicTarget,
                  cycle_observer=None,
                  record_per_path_activity: bool = False,
-                 max_lanes: Optional[int] = None,
-                 stats: Optional[BatchRunStats] = None,
-                 lanes: int = LANE_CAPACITY):
-        if lanes < 1 or lanes % LANE_WORD:
-            raise ValueError(
-                f"lane capacity must be a positive multiple of "
-                f"{LANE_WORD}, got {lanes}")
-        if max_lanes is None:
-            max_lanes = lanes
-        if not 1 <= max_lanes <= lanes:
-            raise ValueError(f"max_lanes must be in [1, {lanes}]")
+                 max_lanes: int = LANE_CAPACITY,
+                 stats: Optional[BatchRunStats] = None):
+        if not 1 <= max_lanes <= LANE_CAPACITY:
+            raise ValueError(f"max_lanes must be in [1, {LANE_CAPACITY}]")
         self.target = target
         self.netlist = target.netlist
         self.design = target.name
         self.cycle_observer = cycle_observer
         self.record_per_path_activity = record_per_path_activity
-        #: plane capacity in lanes (``n_words * 64``)
-        self.lanes = lanes
-        #: live-occupancy cap within the plane capacity
+        #: live-occupancy cap within the plane's 64 lanes
         self.max_lanes = max_lanes
         self.stats = stats or BatchRunStats()
         self.sim: Optional[BatchCycleSim] = None
@@ -149,7 +139,7 @@ class BatchSegmentExecutor(SimBackend):
 
     def prepare(self) -> SimState:
         target = self.target
-        self.sim = BatchCycleSim(target.compiled, lanes=self.lanes)
+        self.sim = BatchCycleSim(target.compiled)
         lane = self.sim.alloc_lane()
         view = self.sim.lane_view(lane)
         target.prepare_sim(view)

@@ -14,15 +14,22 @@ through the paper's procedure:
 5. fold every path's toggle activity into a single profile whose
    complement is the guaranteed-unexercisable gate set.
 
-Since the kernel extraction this class is a thin front: the loop itself
-lives in :class:`~repro.coanalysis.kernel.ExplorationKernel`, the
-simulation backend in
-:class:`~repro.coanalysis.executors.SerialExecutor`.  ``backend="event"``
-swaps the vectorized cycle engine for the event-driven kernel behind the
-same harness -- same kernel, same CSM, same result type -- and
-``backend="batch"`` simulates the whole frontier in lockstep on the
-bit-packed lane-parallel engine
+This class is the one front door for every design and every engine:
+the loop itself lives in
+:class:`~repro.coanalysis.kernel.ExplorationKernel`, the simulation
+backend in :class:`~repro.coanalysis.executors.SerialExecutor`.
+``backend="event"`` swaps the vectorized cycle engine for the
+event-driven kernel behind the same harness -- same kernel, same CSM,
+same result type -- and ``backend="batch"`` simulates the whole
+frontier in lockstep on the 64-lane bit-packed engine
 (:class:`~repro.coanalysis.batch_executor.BatchSegmentExecutor`).
+
+A port-driven design (an FSM or accelerator without memories) is a
+plain :class:`~repro.coanalysis.target.SymbolicTarget` subclass: it
+overrides ``reset``, ``apply_symbolic_inputs``, ``is_done`` and
+``at_branch_point`` and sets ``monitored_nets``, ``branch_force_net``
+and ``pc_nets``; ``CoAnalysisEngine(target, backend="event")`` then
+runs it on the paper's event-region simulator.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Optional
 
 from ..csm.manager import ConservativeStateManager
 from .executors import SerialExecutor
-from .kernel import ExplorationKernel, PendingPath  # noqa: F401 (re-export)
+from .kernel import ExplorationKernel
 from .results import CoAnalysisResult
 from .target import SymbolicTarget
 
@@ -54,8 +61,7 @@ class CoAnalysisEngine:
                  tracer=None,
                  backend: str = "cycle",
                  budget=None,
-                 segment_cache=None,
-                 lanes: Optional[int] = None):
+                 segment_cache=None):
         self.target = target
         self.csm = csm or ConservativeStateManager()
         self.max_cycles_per_path = max_cycles_per_path
@@ -95,19 +101,13 @@ class CoAnalysisEngine:
         #: settled segments whose (run, state, decision) fingerprints
         #: match a prior run are replayed instead of re-simulated
         self.segment_cache = segment_cache
-        #: lane-plane width for ``backend="batch"`` (any multiple of
-        #: 64; None = the 64-lane default); ignored by other backends
-        self.lanes = lanes
 
     def run(self) -> CoAnalysisResult:
         if self.backend == "batch":
-            from ..sim.batch_sim import LANE_CAPACITY
             from .batch_executor import BatchSegmentExecutor
             executor = BatchSegmentExecutor(
                 self.target, cycle_observer=self.cycle_observer,
-                record_per_path_activity=self.record_per_path_activity,
-                lanes=self.lanes if self.lanes is not None
-                else LANE_CAPACITY)
+                record_per_path_activity=self.record_per_path_activity)
         else:
             executor = SerialExecutor(
                 self.target, cycle_observer=self.cycle_observer,

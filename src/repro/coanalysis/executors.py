@@ -1,7 +1,7 @@
 """Segment executors: simulation backends behind the exploration kernel.
 
 Each executor implements the
-:class:`~repro.coanalysis.kernel.SegmentExecutor` protocol for one way
+:class:`~repro.coanalysis.backend.SimBackend` protocol for one way
 of simulating a path segment:
 
 * :class:`SerialExecutor` -- one in-process simulator, restored per
@@ -245,6 +245,8 @@ class EventSimBridge:
 
     # -- settling / clocking ------------------------------------------------
     def settle(self) -> None:
+        """Drain every event region of the time step, the Symbolic
+        region last, so the boundary check reads a settled step."""
         self.es.scheduler.run_time_step()
 
     def clock_edge(self) -> None:

@@ -19,19 +19,19 @@ differs.  :class:`ExplorationKernel` owns everything else:
   final checkpoint, never a mid-flight exception.
 
 Backends plug in through the :class:`~repro.coanalysis.backend.SimBackend`
-protocol (``SegmentExecutor`` is its compatibility alias): ``prepare()``
-builds the reset+symbolic initial state, ``run_batch()`` simulates
-pending paths up to their halt/done/budget boundary, and the activity
-hooks round-trip toggle planes for checkpointing.  A backend never
-touches the CSM or the frontier -- that is the point of the extraction:
-every scaling or resilience feature lands in this file once, not three
-times.  The shared segment loop backends build on lives in
-:mod:`repro.coanalysis.backend`.
+protocol: ``prepare()`` builds the reset+symbolic initial state,
+``run_batch()`` simulates pending paths up to their halt/done/budget
+boundary, and the activity hooks round-trip toggle planes for
+checkpointing.  A backend never touches the CSM or the frontier --
+that is the point of the extraction: every scaling or resilience
+feature lands in this file once, not three times.  The shared segment
+loop backends build on lives in :mod:`repro.coanalysis.backend`.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Optional
 
 from ..resilience.checkpoint import (as_checkpointer, decode_run_payload,
@@ -39,21 +39,20 @@ from ..resilience.checkpoint import (as_checkpointer, decode_run_payload,
 from ..resilience.governor import TRACE_KIND_FOR_REASON, as_governor
 from ..sim.activity import ToggleProfile
 from ..sim.state import SimState
-from .backend import (BatchContext, PendingPath, SegmentExecutor,
-                      SegmentResult, SimBackend)
+from .backend import BatchContext, PendingPath, SegmentResult, SimBackend
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
                       PartialResult, PathRecord, ResumeMismatch, RunEvent)
 
 __all__ = [
-    "BatchContext", "ExplorationKernel", "PendingPath", "SegmentExecutor",
-    "SegmentResult", "SimBackend",
+    "BatchContext", "ExplorationKernel", "PendingPath", "SegmentResult",
+    "SimBackend",
 ]
 
 
 class ExplorationKernel:
     """Runs Algorithm 1 over any :class:`SimBackend`."""
 
-    def __init__(self, executor: SegmentExecutor,
+    def __init__(self, executor: SimBackend,
                  csm=None,
                  frontier=None,
                  max_cycles_per_path: int = 20000,
@@ -412,9 +411,13 @@ class ExplorationKernel:
             "resume", wave=self.batches_done,
             segment=len(result.path_records),
             detail=f"{len(self.frontier)} pending paths restored"))
+        outcomes = Counter(r.outcome for r in result.path_records)
         self.tracer.emit(
             "resume", frontier=len(self.frontier),
             data={"paths_explored": len(result.path_records),
+                  # every split or skipped segment ended in a halt
+                  "halts": outcomes["split"] + outcomes["skipped"],
+                  "outcomes": dict(outcomes),
                   "splits": result.splits,
                   "merges_covered": result.paths_skipped,
                   "simulated_cycles": result.simulated_cycles,

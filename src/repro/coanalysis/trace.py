@@ -228,10 +228,12 @@ class MetricsAggregator(TraceSink):
             # interruption, so the stream stays consistent with the
             # engine's totals
             for key in ("paths_explored", "splits", "merges_covered",
-                        "simulated_cycles", "batches", "cache_hits",
-                        "cache_misses"):
+                        "halts", "simulated_cycles", "batches",
+                        "cache_hits", "cache_misses"):
                 if key in event.data:
                     setattr(m, key, event.data[key])
+            if "outcomes" in event.data:
+                m.outcomes = dict(event.data["outcomes"])
         elif event.kind == "cache_hit":
             m.cache_hits += 1
         elif event.kind == "cache_miss":
@@ -270,7 +272,8 @@ class ProgressLine(TraceSink):
         self._explored = 0
         self._cycles = 0
         self._frontier = 0
-        self._wrote = False
+        #: a status line is on the stream without its newline
+        self._unterminated = False
 
     def emit(self, event: TraceEvent) -> None:
         if event.kind == "segment_end":
@@ -294,13 +297,13 @@ class ProgressLine(TraceSink):
         if final:
             self.stream.write("\n")
         self.stream.flush()
-        self._wrote = True
+        self._unterminated = not final
 
     def close(self) -> None:
-        if self._wrote:
+        if self._unterminated:
             self.stream.write("\n")
             self.stream.flush()
-            self._wrote = False
+            self._unterminated = False
 
 
 class Tracer:

@@ -51,13 +51,25 @@ def _make_tracer(trace, progress: bool) -> Optional[Tracer]:
     return Tracer(sinks) if sinks else None
 
 
+def _target_and_constraints(design: str, benchmark: str,
+                            use_constraints: bool = True):
+    """The pair's target and its CSM constraint set (None when the
+    workload has none for ``design`` or ``use_constraints`` is off)."""
+    workload = WORKLOADS[benchmark]
+    target = build_target(design, workload)
+    text = workload.constraints.get(design) if use_constraints else None
+    if not text:
+        return target, None
+    return target, ConstraintSet(parse_constraints(text),
+                                 target.state_net_positions())
+
+
 def _pair_fingerprint(design: str, benchmark: str,
                       strategy: Optional[MergeStrategy],
                       target, constraints,
                       engine: str = "serial", frontier: str = "dfs",
                       max_cycles_per_path: int = 20000,
                       max_total_cycles: Optional[int] = 2_000_000,
-                      lanes: Optional[int] = None,
                       ) -> RunFingerprint:
     """Fingerprint one (design, benchmark) configuration."""
     return run_fingerprint(
@@ -67,40 +79,30 @@ def _pair_fingerprint(design: str, benchmark: str,
         symbolic_ranges=target.symbolic_ranges,
         engine=engine, frontier=frontier,
         max_cycles_per_path=max_cycles_per_path,
-        max_total_cycles=max_total_cycles, lanes=lanes)
+        max_total_cycles=max_total_cycles)
 
 
 def pair_fingerprint(design: str, benchmark: str,
                      strategy: Optional[MergeStrategy] = None,
                      use_constraints: bool = True,
                      engine: str = "serial", frontier: str = "dfs",
-                     lanes: Optional[int] = None,
                      max_cycles_per_path: int = 20000,
                      max_total_cycles: Optional[int] = 2_000_000,
                      ) -> RunFingerprint:
     """Fingerprint a (design, benchmark) run the way :func:`run_one`
     would key its caches.
 
-    Builds the target and constraint set itself and applies the same
-    normalization ``run_one`` applies before hashing (the lane width
-    defaults to 64 on the batch engine and is ``None`` elsewhere), so a
-    submission keyed on this digest shares segment caches and run
-    manifests with a direct ``repro run --cache`` of the same
-    configuration.
+    Builds the target and constraint set itself, so a submission keyed
+    on this digest shares segment caches and run manifests with a
+    direct ``repro run --cache`` of the same configuration.
     """
-    workload = WORKLOADS[benchmark]
-    target = build_target(design, workload)
-    constraints = None
-    text = workload.constraints.get(design) if use_constraints else None
-    if text:
-        constraints = ConstraintSet(parse_constraints(text),
-                                    target.state_net_positions())
+    target, constraints = _target_and_constraints(design, benchmark,
+                                                  use_constraints)
     return _pair_fingerprint(
         design, benchmark, strategy or UberConservative(),
         target, constraints, engine=engine, frontier=frontier,
         max_cycles_per_path=max_cycles_per_path,
-        max_total_cycles=max_total_cycles,
-        lanes=((lanes or 64) if engine == "batch" else None))
+        max_total_cycles=max_total_cycles)
 
 
 def _register_run(store: ContentStore, fp: RunFingerprint,
@@ -138,8 +140,7 @@ def run_one(design: str, benchmark: str,
             trace=None,
             progress: bool = False,
             budget=None,
-            cache=None,
-            lanes: Optional[int] = None) -> CoAnalysisResult:
+            cache=None) -> CoAnalysisResult:
     """One symbolic co-analysis run.
 
     ``strategy`` is the CSM merge strategy; ``frontier`` schedules the
@@ -148,9 +149,8 @@ def run_one(design: str, benchmark: str,
     ``batch``) -- all of them run in this process, through the same
     :class:`~repro.coanalysis.kernel.ExplorationKernel`.  ``batch``
     simulates the whole frontier in lockstep on the bit-packed
-    lane-parallel engine (``lanes`` paths per settle -- any multiple of
-    64, default 64 -- one process, freed lanes refilled from the
-    frontier by compaction).
+    lane-parallel engine (up to 64 paths per settle, one process, freed
+    lanes refilled from the frontier by compaction).
     ``checkpoint``/``resume`` journal the run to disk and continue an
     interrupted one (see :mod:`repro.resilience`); ``trace`` writes the
     structured event stream as JSONL and ``progress`` keeps a live
@@ -169,15 +169,8 @@ def run_one(design: str, benchmark: str,
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: "
                          + ", ".join(ENGINES))
-    if lanes is not None and engine != "batch":
-        raise ValueError("--lanes requires --engine batch")
-    workload = WORKLOADS[benchmark]
-    target = build_target(design, workload)
-    constraints = None
-    text = workload.constraints.get(design) if use_constraints else None
-    if text:
-        constraints = ConstraintSet(parse_constraints(text),
-                                    target.state_net_positions())
+    target, constraints = _target_and_constraints(design, benchmark,
+                                                  use_constraints)
     strategy = strategy or UberConservative()
     csm = ConservativeStateManager(strategy, constraints=constraints)
     tracer = _make_tracer(trace, progress)
@@ -190,10 +183,7 @@ def run_one(design: str, benchmark: str,
             design, benchmark, strategy, target, constraints,
             engine=engine, frontier=frontier,
             max_cycles_per_path=max_cycles_per_path,
-            max_total_cycles=max_total_cycles,
-            # the lane width is part of the batch engine's identity: a
-            # warm cache at one width misses cleanly at another
-            lanes=((lanes or 64) if engine == "batch" else None))
+            max_total_cycles=max_total_cycles)
         segment_cache = SegmentResultCache(store, fp.digest)
 
     result = CoAnalysisEngine(target, csm=csm,
@@ -205,8 +195,8 @@ def run_one(design: str, benchmark: str,
                               backend={"serial": "cycle",
                                        "event": "event",
                                        "batch": "batch"}[engine],
-                              budget=budget, segment_cache=segment_cache,
-                              lanes=lanes).run()
+                              budget=budget,
+                              segment_cache=segment_cache).run()
     if store is not None:
         _register_run(store, fp, result, checkpoint, trace)
     return result
@@ -253,14 +243,8 @@ def run_grid(designs: Sequence[str] = tuple(DESIGN_ORDER),
             strategy = strategy_factory()
             name = None
             if store is not None:
-                workload = WORKLOADS[benchmark]
-                target = build_target(design, workload)
-                constraints = None
-                text = workload.constraints.get(design)
-                if text:
-                    constraints = ConstraintSet(
-                        parse_constraints(text),
-                        target.state_net_positions())
+                target, constraints = _target_and_constraints(design,
+                                                              benchmark)
                 fp = _pair_fingerprint(design, benchmark, strategy,
                                        target, constraints)
                 name = f"grid-{fp.digest}"

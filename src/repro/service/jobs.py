@@ -90,7 +90,6 @@ class JobSpec:
     csm: str = "uber"
     engine: str = "serial"
     frontier: str = "dfs"
-    lanes: Optional[int] = None
     use_constraints: bool = True
     # -- per-job RunBudget quotas ------------------------------------------
     deadline_seconds: Optional[float] = None
@@ -147,12 +146,6 @@ class JobSpec:
             raise JobSpecError(f"unknown engine {self.engine!r}")
         if self.frontier not in FRONTIER_STRATEGIES:
             raise JobSpecError(f"unknown frontier {self.frontier!r}")
-        if self.lanes is not None:
-            if self.engine != "batch":
-                raise JobSpecError("lanes requires the batch engine")
-            if self.lanes <= 0 or self.lanes % 64:
-                raise JobSpecError(f"lanes must be a positive multiple "
-                                   f"of 64, got {self.lanes}")
         for name in ("deadline_seconds", "max_rss_mb", "max_frontier",
                      "max_segments", "shard_segments"):
             value = getattr(self, name)
@@ -176,7 +169,7 @@ class JobSpec:
         """The spec fields the run fingerprint depends on (cache key for
         the fingerprint itself -- computing one builds the target)."""
         return (self.design, self.benchmark, self.csm, self.engine,
-                self.frontier, self.lanes, self.use_constraints)
+                self.frontier, self.use_constraints)
 
     def dedup_key(self) -> tuple:
         """What in-flight coalescing requires to match: the run
@@ -195,8 +188,24 @@ class JobSpec:
             self.design, self.benchmark,
             strategy=CSM_STRATEGIES[self.csm](),
             use_constraints=self.use_constraints,
-            engine=self.engine, frontier=self.frontier,
-            lanes=self.lanes).digest
+            engine=self.engine, frontier=self.frontier).digest
+
+
+def _strip_retired_fields(raw: Dict) -> Dict:
+    """Drop spec fields of removed options where the stored value is
+    what every run does today.
+
+    Manifests stored while specs had a worker-pool size carry
+    ``"workers": 1`` (a single-process run); those stored while specs
+    had a lane width carry ``"lanes": null``, or ``64`` on the batch
+    engine (its one plane word).  Any other value named a removed
+    configuration and stays an unknown field, so the manifest is
+    skipped as foreign.
+    """
+    lanes = (None, 64) if raw.get("engine") == "batch" else (None,)
+    return {k: v for k, v in raw.items()
+            if not ((k == "workers" and v == 1)
+                    or (k == "lanes" and v in lanes))}
 
 
 @dataclass
@@ -291,12 +300,8 @@ class Job:
     @classmethod
     def from_manifest(cls, manifest: Dict) -> "Job":
         raw = manifest["spec"]
-        # manifests stored while specs still had a worker-pool size
-        # carry "workers": 1 (a single-process run), which is every run
-        # today; any other value named the removed pool engine and
-        # stays an unknown field
-        if isinstance(raw, dict) and raw.get("workers") == 1:
-            raw = {k: v for k, v in raw.items() if k != "workers"}
+        if isinstance(raw, dict):
+            raw = _strip_retired_fields(raw)
         spec = JobSpec.from_dict(raw)
         job = cls(job_id=str(manifest["job"]), spec=spec,
                   fingerprint=str(manifest["fingerprint"]),

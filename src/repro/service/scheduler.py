@@ -135,7 +135,7 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
                          checkpoint=str(ckpt), resume=resume,
                          frontier=spec.frontier,
                          engine=spec.engine, trace=sink,
-                         budget=governor, cache=store, lanes=spec.lanes)
+                         budget=governor, cache=store)
     except Exception as exc:          # noqa: BLE001 -- verdict, not crash
         verdict.update(state="FAILED",
                        error=f"{type(exc).__name__}: {exc}")

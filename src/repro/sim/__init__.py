@@ -10,7 +10,7 @@ from .events import EventScheduler, HaltSimulation, Region
 from .event_sim import (EventSim, LabeledSymbolDomain, PlainXDomain,
                         ValueDomain)
 from .memory import XMemory
-from .planes import LANE_WORD, BoolPlanes, LanePlanes
+from .planes import BoolPlanes, LanePlanes
 from .state import SimState
 from .tasks import (InitializeState, MonitorX, load_state_file,
                     parse_signal_list, save_state_file)
@@ -23,7 +23,7 @@ __all__ = [
     "compile_netlist",
     "EventScheduler", "HaltSimulation", "Region",
     "EventSim", "PlainXDomain", "LabeledSymbolDomain", "ValueDomain",
-    "LANE_WORD", "BoolPlanes", "LanePlanes",
+    "BoolPlanes", "LanePlanes",
     "XMemory", "SimState",
     "MonitorX", "InitializeState",
     "parse_signal_list", "save_state_file", "load_state_file",

@@ -18,11 +18,12 @@ instead, in *dual-rail* form:
   agreeing data legs that value; a valid input pair always yields a
   valid output pair.
 
-A level is then one gather of every gate's select and data rails from
-a flat rails buffer, four bitwise ops over ``uint64`` words (one bit
-per lane) and one scatter -- the same few bulk operations for 1 lane or
-256.  :func:`batch_kernels_for` widens the indices once per plane width
-to flat positions and caches them.
+A level is then two gathers from a flat rails buffer -- the left and
+the right operand of every gate's three product terms, per rail -- one
+AND and two ORs over ``uint64`` words (one bit per lane), and one
+scatter: the same few bulk operations for 1 lane or 64, on operands of
+one shape.  :func:`batch_kernels_for` builds the flat rail positions
+once per compiled netlist and caches them.
 
 :func:`reference_sweep` keeps the older formulation -- generated Python
 source, one fused ``& | ^ ~`` expression block per ``(level, kind)``
@@ -69,25 +70,29 @@ _LEG_PORT, _LEG_SWAP = _leg_columns()
 
 
 class BatchKernels:
-    """The lane level tables of one :class:`CompiledNetlist` at one
-    plane width.
+    """The lane level tables of one :class:`CompiledNetlist`.
 
-    The rails buffer is a flat ``(2, rows, n_words)`` uint64 array:
-    rail 0 is the zero-rail, rail 1 the one-rail, and ``rows`` is
-    ``n_nets + 2`` -- the nets, then a constant-0 and a constant-1 row.
+    The rails buffer is a flat ``(2, rows)`` uint64 array: rail 0 is
+    the zero-rail, rail 1 the one-rail, and ``rows`` is ``n_nets + 2``
+    -- the nets, then a constant-0 and a constant-1 row.
     """
 
     __slots__ = ("rows", "tables")
 
-    def __init__(self, compiled: CompiledNetlist, n_words: int = 1):
+    def __init__(self, compiled: CompiledNetlist):
         n = compiled.n_nets
         #: rows of the rails buffer: every net plus the two constants
         self.rows = rows = n + 2
-        #: ``(level, gather, scatter)`` per logic level: ``gather`` is
-        #: ``(3, 2, m * n_words)`` -- select / d0 / d1, each as
-        #: (zero, one) rail positions -- and ``scatter`` the
-        #: ``(2, m * n_words)`` rail positions of the level's outputs
-        self.tables: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        #: ``(level, left, right, scatter)`` per logic level: ``left``
+        #: and ``right`` are ``(3, 2, m)`` rail positions of the
+        #: operands of the product terms ``s_zero & d0``,
+        #: ``s_one & d1`` and ``d0 & d1``, each per (zero, one) rail,
+        #: and ``scatter`` the ``(2, m)`` rail positions of the level's
+        #: outputs.  All are C-contiguous: a gather's output takes its
+        #: index's memory layout, and the bitwise ops run ~2x slower on
+        #: a strided one.
+        self.tables: List[Tuple[int, np.ndarray, np.ndarray,
+                                np.ndarray]] = []
         for lvl, ins, offset, out in compiled.levels:
             m = len(out)
             slot = offset // _SLOT
@@ -97,38 +102,34 @@ class BatchKernels:
             ports[ONE] = n + 1
             row = ports[_LEG_PORT[:, slot], np.arange(m)]     # (3, m)
             swap = _LEG_SWAP[:, slot]
-            base = np.stack([row + rows * swap, row + rows * ~swap], 1)
+            # (zero, one) rail positions of select, d0 and d1
+            s, d0, d1 = np.stack([row + rows * swap, row + rows * ~swap], 1)
             self.tables.append((
-                lvl, _flat(base, n_words),
-                _flat(np.stack([out, out + rows]), n_words)))
+                lvl,
+                np.ascontiguousarray([s[[0, 0]], s[[1, 1]], d0]),
+                np.ascontiguousarray([d0, d1, d1]),
+                np.ascontiguousarray([out, out + rows], dtype=np.intp)))
 
 
-def _flat(base: np.ndarray, n_words: int) -> np.ndarray:
-    """Row indices ``base`` as flat ``row * n_words + word`` positions,
-    the words of one row contiguous on the last axis.  The result is
-    C-contiguous: a gather's output takes its index's memory layout,
-    and the bitwise ops run ~2x slower on a strided one."""
-    flat = base[..., None] * n_words + np.arange(n_words)
-    return np.ascontiguousarray(flat.reshape(base.shape[:-1] + (-1,)))
-
-
-#: per-process table cache keyed by compiled-netlist identity and plane
-#: word count; a CompiledNetlist is immutable, so identity is a sound
-#: cache key
-_KERNEL_CACHE: "weakref.WeakKeyDictionary[CompiledNetlist, dict]" \
+#: per-process table cache keyed by compiled-netlist identity; a
+#: CompiledNetlist is immutable, so identity is a sound cache key
+_KERNEL_CACHE: "weakref.WeakKeyDictionary[CompiledNetlist, BatchKernels]" \
     = weakref.WeakKeyDictionary()
 
 
 def batch_kernels_for(compiled: CompiledNetlist,
-                      n_words: int = 1) -> BatchKernels:
-    """Lane level tables for ``(compiled, n_words)``, built once and
-    cached."""
-    by_width = _KERNEL_CACHE.get(compiled)
-    if by_width is None:
-        by_width = _KERNEL_CACHE[compiled] = {}
-    kernels = by_width.get(n_words)
+                      words: int = 1) -> BatchKernels:
+    """Lane level tables for ``compiled``, built once and cached.
+
+    ``words`` is the plane's word count per net; the lane planes are
+    one 64-lane word, so only 1 is accepted.
+    """
+    if words != 1:
+        raise ValueError(f"lane planes are one 64-lane word per net, "
+                         f"not {words}")
+    kernels = _KERNEL_CACHE.get(compiled)
     if kernels is None:
-        kernels = by_width[n_words] = BatchKernels(compiled, n_words)
+        kernels = _KERNEL_CACHE[compiled] = BatchKernels(compiled)
     return kernels
 
 
@@ -186,8 +187,8 @@ def reference_sweep(compiled: CompiledNetlist) -> Callable:
     function of fused per-group bitwise blocks, storing in place.
 
     The algebra is width-independent -- nets index axis 0 and the ops
-    broadcast over any trailing word axis -- so it settles the batched
-    engine's uint64 planes at any width, and bool planes too.  Built
+    are elementwise -- so it settles the batched engine's uint64 planes
+    and bool planes alike.  Built
     fresh on every call: it is a reference, not an engine path.
     """
     ns: dict = {}

@@ -3,15 +3,14 @@
 The co-analysis frontier is full of *near-identical* states -- every
 fork copies its parent and diverges by one branch decision.  The serial
 engine settles them one at a time, paying the full numpy dispatch cost
-per state.  :class:`BatchCycleSim` packs up to ``lanes`` independent
-simulations into the same arrays the serial engine uses: every net's
-``(val, known)`` pair becomes ``n_words = lanes / 64`` ``uint64`` words
+per state.  :class:`BatchCycleSim` packs up to :data:`LANE_CAPACITY`
+(64) independent simulations into the same arrays the serial engine
+uses: every net's ``(val, known)`` pair becomes one ``uint64`` word
 per plane (:class:`~repro.sim.planes.LanePlanes`), **one bit per
 lane**.  A single settle then advances every lane at once -- bitwise
 ``& | ^ ~`` on uint64 words is lane-parallel for free, the GSIM-style
-batched-kernel trick -- and
-widening the wave from 64 to 128 or 256 lanes only grows the word axis
-the same ops already broadcast over.
+batched-kernel trick.  The co-analysis frontiers of the paper's runs
+are 2-8 paths wide, so one word holds every wave.
 
 Lane lifecycle maps onto Algorithm 1 directly:
 
@@ -23,9 +22,9 @@ Lane lifecycle maps onto Algorithm 1 directly:
   ``settle()`` / ``clock_edge()``.
 
 Settling is the lane form of the serial engine's level table (see
-:mod:`repro.sim.batch_kernels`): per logic level, one gather of every
-gate's dual-rail inputs, four bitwise ops and one scatter advance every
-lane.  One dirty flag, set only when a bit of a live lane changes,
+:mod:`repro.sim.batch_kernels`): per logic level, two gathers of every
+gate's dual-rail mux operands, three bitwise ops and one scatter
+advance every lane.  One dirty flag, set only when a bit of a live lane changes,
 makes a settle with nothing to do free.
 
 Per-lane state that cannot live in the bit planes -- cycle counters,
@@ -49,13 +48,9 @@ from ..logic.vector import LVec
 from .batch_kernels import batch_kernels_for
 from .cycle_sim import CompiledNetlist, ForcedRestoreWarning
 from .memory import XMemory
-from .planes import (CODE_DTYPE, M64, LanePlanes, column_bits,
-                     lane_word_bit, mask_to_words, to_codes, to_lvec)
+from .planes import (CODE_DTYPE, LANE_CAPACITY, M64, LanePlanes,
+                     column_bits, to_codes, to_lvec)
 from .state import SimState
-
-#: default lane capacity (one plane word); pass ``lanes=128/256/...``
-#: to :class:`BatchCycleSim` for wider waves
-LANE_CAPACITY = 64
 
 
 class LaneCapacityError(RuntimeError):
@@ -71,45 +66,32 @@ def _clone_memory(mem: XMemory) -> XMemory:
 class BatchCycleSim:
     """Bit-packed lane-parallel four-valued simulator.
 
-    The planes are ``(n_nets, n_words)`` uint64 arrays; bit ``b`` of
-    word ``w`` in row ``i`` is net ``i``'s value in lane
-    ``w * 64 + b``.  All lane-global operations (:meth:`settle`,
-    :meth:`clock_edge`, :meth:`record_activity_now`) advance every live
-    lane in lockstep; per-lane mutation and observation go through the
-    ``lane_*`` methods or a :class:`LaneView`.
-
-    Args mirror :class:`~repro.sim.cycle_sim.CycleSim`, plus:
-
-    Args:
-        lanes: lane capacity; a positive multiple of 64 (each 64 lanes
-            add one uint64 word to every plane row).
+    The planes are ``(n_nets,)`` uint64 arrays; bit ``b`` of row ``i``
+    is net ``i``'s value in lane ``b``.  All lane-global operations
+    (:meth:`settle`, :meth:`clock_edge`, :meth:`record_activity_now`)
+    advance every live lane in lockstep; per-lane mutation and
+    observation go through the ``lane_*`` methods or a
+    :class:`LaneView`.  Args mirror
+    :class:`~repro.sim.cycle_sim.CycleSim`.
     """
 
     def __init__(self, compiled: CompiledNetlist,
-                 record_activity: bool = True,
-                 lanes: int = LANE_CAPACITY):
+                 record_activity: bool = True):
         self.c = compiled
-        self.planes = LanePlanes(compiled.n_nets, lanes)
-        #: lane capacity of this instance
-        self.capacity = self.planes.lanes
-        #: plane words per net (capacity / 64)
-        self.n_words = self.planes.n_words
-        self._full = self.planes.full_mask
-        self.kernels = batch_kernels_for(compiled, self.n_words)
+        self.planes = LanePlanes(compiled.n_nets)
+        self.kernels = batch_kernels_for(compiled)
         #: the settle's dual-rail copy of the planes, flat and as a
-        #: ``(2, rows, n_words)`` view; the two constant rows after the
-        #: nets are set once here and never written again
-        self._rails = np.zeros(2 * self.kernels.rows * self.n_words,
-                               dtype=np.uint64)
-        self._rails3 = self._rails.reshape(2, self.kernels.rows,
-                                           self.n_words)
-        self._rails3[0, -2] = M64      # constant 0: zero-rail set
-        self._rails3[1, -1] = M64      # constant 1: one-rail set
+        #: ``(2, rows)`` view; the two constant rows after the nets are
+        #: set once here and never written again
+        self._rails = np.zeros(2 * self.kernels.rows, dtype=np.uint64)
+        self._rails2 = self._rails.reshape(2, self.kernels.rows)
+        self._rails2[0, -2] = M64      # constant 0: zero-rail set
+        self._rails2[1, -1] = M64      # constant 1: one-rail set
         self.val = self.planes.val
         self.known = self.planes.known
         #: bitmask of live lanes (python int)
         self.active_mask = 0
-        self.lane_cycle: List[int] = [0] * self.capacity
+        self.lane_cycle: List[int] = [0] * LANE_CAPACITY
         self.lane_memories: Dict[int, Dict[str, XMemory]] = {}
         self.record_activity = record_activity
         self.toggled = self.planes.toggled
@@ -144,10 +126,10 @@ class BatchCycleSim:
             mask ^= low
 
     def _free_lane(self) -> int:
-        free = ~self.active_mask & self._full
+        free = ~self.active_mask & M64
         if not free:
             raise LaneCapacityError(
-                f"all {self.capacity} lanes in use; drop or merge a "
+                f"all {LANE_CAPACITY} lanes in use; drop or merge a "
                 f"lane before forking")
         return (free & -free).bit_length() - 1
 
@@ -157,12 +139,11 @@ class BatchCycleSim:
         bit = 1 << lane
         self.active_mask |= bit
         self.planes.clear_lane(lane)
-        w, b = lane_word_bit(lane)
-        m = np.uint64(1 << b)
+        m = np.uint64(bit)
         for kind, out in self.c.ties:
             if kind == "TIE1":
-                self.val[out, w] |= m
-            self.known[out, w] |= m
+                self.val[out] |= m
+            self.known[out] |= m
         self.lane_cycle[lane] = 0
         self.lane_memories[lane] = {}
         self._armed_mask &= ~bit
@@ -210,7 +191,7 @@ class BatchCycleSim:
         self._strip_forces(bit, reassert=False)
 
     def _check_lane(self, lane: int) -> None:
-        if not 0 <= lane < self.capacity or \
+        if not 0 <= lane < LANE_CAPACITY or \
                 not (self.active_mask >> lane) & 1:
             raise ValueError(f"lane {lane} is not active")
 
@@ -228,15 +209,13 @@ class BatchCycleSim:
             v, k = value is Logic.L1, True
         else:
             v, k = False, False
-        w, wb = lane_word_bit(lane)
-        wbit = 1 << wb
-        word_v = int(self.val[net, w])
-        word_k = int(self.known[net, w])
-        if bool(word_v & wbit) != v or bool(word_k & wbit) != k:
-            self.val[net, w] = np.uint64((word_v | wbit) if v
-                                         else (word_v & ~wbit))
-            self.known[net, w] = np.uint64((word_k | wbit) if k
-                                           else (word_k & ~wbit))
+        word_v = int(self.val[net])
+        word_k = int(self.known[net])
+        if bool(word_v & bit) != v or bool(word_k & bit) != k:
+            self.val[net] = np.uint64((word_v | bit) if v
+                                      else (word_v & ~bit))
+            self.known[net] = np.uint64((word_k | bit) if k
+                                        else (word_k & ~bit))
             self._dirty = True
 
     def lane_set_codes(self, lane: int, nets: Sequence[int],
@@ -264,30 +243,25 @@ class BatchCycleSim:
                       known: np.ndarray) -> None:
         """Write one lane's ``(val, known)`` bits (0/1 per net) of nets
         ``idx``, flipping exactly the bits that differ."""
-        w, wb = lane_word_bit(lane)
-        sh, one = np.uint64(wb), np.uint64(1)
-        # index the lane's word column: a view, cheaper than [idx, w]
-        col_v, col_k = self.val[:, w], self.known[:, w]
-        flip_v = ((col_v[idx] >> sh) & one) ^ val
-        flip_k = ((col_k[idx] >> sh) & one) ^ known
+        sh, one = np.uint64(lane), np.uint64(1)
+        flip_v = ((self.val[idx] >> sh) & one) ^ val
+        flip_k = ((self.known[idx] >> sh) & one) ^ known
         if flip_v.any() or flip_k.any():
-            col_v[idx] ^= flip_v << sh
-            col_k[idx] ^= flip_k << sh
+            self.val[idx] ^= flip_v << sh
+            self.known[idx] ^= flip_k << sh
             self._dirty = True
 
     def lane_get_net(self, lane: int, net: int) -> Logic:
-        w, wb = lane_word_bit(lane)
-        wbit = 1 << wb
-        if not int(self.known[net, w]) & wbit:
+        bit = 1 << lane
+        if not int(self.known[net]) & bit:
             return Logic.X
-        return Logic.L1 if int(self.val[net, w]) & wbit else Logic.L0
+        return Logic.L1 if int(self.val[net]) & bit else Logic.L0
 
     def lane_get_codes(self, lane: int, nets: Sequence[int]) -> np.ndarray:
         """One lane's canonical net codes of ``nets``."""
-        w, wb = lane_word_bit(lane)
-        sh, one = np.uint64(wb), np.uint64(1)
-        known = (self.known[:, w][nets] >> sh) & one
-        val = (self.val[:, w][nets] >> sh) & known
+        sh, one = np.uint64(lane), np.uint64(1)
+        known = (self.known[nets] >> sh) & one
+        val = (self.val[nets] >> sh) & known
         return (val | known << np.uint64(8)).astype(CODE_DTYPE)
 
     def lane_get_bus(self, lane: int, nets: Sequence[int]) -> LVec:
@@ -309,11 +283,9 @@ class BatchCycleSim:
         entry[1] = (entry[1] | bit) if v else (entry[1] & ~bit)
         entry[2] = (entry[2] | bit) if k else (entry[2] & ~bit)
         self._force_cache = None
-        w, wb = lane_word_bit(lane)
-        wbit = 1 << wb
-        word_v = int(self.val[net, w])
-        word_k = int(self.known[net, w])
-        if bool(word_v & wbit) != v or bool(word_k & wbit) != k:
+        word_v = int(self.val[net])
+        word_k = int(self.known[net])
+        if bool(word_v & bit) != v or bool(word_k & bit) != k:
             self._dirty = True       # the pin takes effect at settle
 
     def lane_release(self, lane: int, net: Optional[int] = None) -> None:
@@ -377,15 +349,14 @@ class BatchCycleSim:
         level -- pinned before any reader level evaluates."""
         if self._force_cache is None:
             n = len(self._forces)
-            n_words = self.n_words
             nets = np.fromiter(self._forces.keys(), dtype=np.intp,
                                count=n)
-            keep = np.zeros((n, n_words), dtype=np.uint64)
-            rails = np.zeros((2, n, n_words), dtype=np.uint64)
+            keep = np.zeros(n, dtype=np.uint64)
+            rails = np.zeros((2, n), dtype=np.uint64)
             for i, (lanes, vbits, kbits) in enumerate(self._forces.values()):
-                keep[i] = mask_to_words(~lanes & self._full, n_words)
-                rails[0, i] = mask_to_words(kbits ^ vbits, n_words)
-                rails[1, i] = mask_to_words(vbits, n_words)
+                keep[i] = ~lanes & M64
+                rails[0, i] = kbits ^ vbits
+                rails[1, i] = vbits
             levels = set(self.c.net_comb_level[nets].tolist())
             levels.discard(-1)
             self._force_cache = (nets, keep, rails, levels)
@@ -403,7 +374,7 @@ class BatchCycleSim:
             self.noop_settles += 1
             return
         n = self.c.n_nets
-        flat, rails = self._rails, self._rails3
+        flat, rails = self._rails, self._rails2
         val, known = self.val, self.known
         np.bitwise_xor(known, val, out=rails[0, :n])
         rails[1, :n] = val
@@ -412,14 +383,13 @@ class BatchCycleSim:
             rails[:, f_nets] = (rails[:, f_nets] & f_keep) | f_rails
         else:
             f_levels = ()
-        for lvl, gather, scatter in self.kernels.tables:
-            # rails of (select; d0, d1), each (zero, one): the Kleene
-            # mux per rail is (d0 & (s_zero | d1)) | (s_one & d1)
-            legs = flat[gather]
-            out = legs[0, 0] | legs[2]
-            out &= legs[1]
-            legs[2] &= legs[0, 1]
-            out |= legs[2]
+        for lvl, left, right, scatter in self.kernels.tables:
+            # the Kleene mux per rail r is the OR of three products:
+            # (s_zero & d0_r) | (s_one & d1_r) | (d0_r & d1_r)
+            terms = flat[left]
+            terms &= flat[right]
+            out = terms[0] | terms[1]
+            out |= terms[2]
             flat[scatter] = out
             if lvl in f_levels:
                 rails[:, f_nets] = (rails[:, f_nets] & f_keep) | f_rails
@@ -431,7 +401,7 @@ class BatchCycleSim:
     def clock_edge(self) -> None:
         """One positive edge for every live lane (staged NBA commit)."""
         val, known = self.val, self.known
-        active = self.planes.mask_words(self.active_mask)
+        active = np.uint64(self.active_mask)
         staged: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for grp in self.c.flops:
             kind = grp.kind
@@ -469,9 +439,9 @@ class BatchCycleSim:
     def lane_arm_activity(self, lane: int) -> None:
         bit = 1 << lane
         self._armed_mask |= bit
-        self._blend_prev(self.planes.lane_mask_words(lane))
+        self._blend_prev(np.uint64(bit))
 
-    def _blend_prev(self, mask: np.ndarray) -> None:
+    def _blend_prev(self, mask: np.uint64) -> None:
         inv = ~mask
         self._prev_val &= inv
         self._prev_val |= self.val & mask
@@ -486,7 +456,7 @@ class BatchCycleSim:
             else self._armed_mask & lane_bits
         if not mask_int:
             return
-        mask = self.planes.mask_words(mask_int)
+        mask = np.uint64(mask_int)
         self.ever_x |= ~self.known & mask
         self.toggled |= ((self.val ^ self._prev_val)
                          | (self.known ^ self._prev_known)) & mask
@@ -494,10 +464,9 @@ class BatchCycleSim:
 
     def lane_reset_activity(self, lane: int) -> None:
         bit = 1 << lane
-        w, wb = lane_word_bit(lane)
-        inv = np.uint64(~(1 << wb) & M64)
-        self.toggled[:, w] &= inv
-        self.ever_x[:, w] &= inv
+        inv = np.uint64(~bit & M64)
+        self.toggled &= inv
+        self.ever_x &= inv
         self._armed_mask &= ~bit
 
     def lane_planes(self, lane: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -518,10 +487,9 @@ class BatchCycleSim:
                       pc: Optional[int] = None) -> SimState:
         """One lane's state in the exact serial SimState layout."""
         sn = self.c.state_nets
-        w, wb = lane_word_bit(lane)
-        sh, one = np.uint64(wb), np.uint64(1)
-        val = ((self.val[sn, w] >> sh) & one).astype(bool)
-        known = ((self.known[sn, w] >> sh) & one).astype(bool)
+        sh, one = np.uint64(lane), np.uint64(1)
+        val = ((self.val[sn] >> sh) & one).astype(bool)
+        known = ((self.known[sn] >> sh) & one).astype(bool)
         return SimState(
             net_val=val & known,
             net_known=known,
@@ -563,7 +531,7 @@ class BatchCycleSim:
         if settle:
             self.settle()
         if self._armed_mask & bit:
-            self._blend_prev(self.planes.lane_mask_words(lane))
+            self._blend_prev(np.uint64(bit))
 
 
 class LaneView:

@@ -16,17 +16,15 @@ The *storage* differs only in width:
   each net is also one 2-byte *code* (``val | known << 8``:
   :data:`CODE_X`, :data:`CODE_0`, :data:`CODE_1`) that the serial
   engine gathers, compares and scatters in one operation.
-* :class:`LanePlanes` -- ``(n_nets, n_words)`` uint64, **one bit per
-  lane**: bit ``b`` of word ``w`` is lane ``w * 64 + b``.  Bitwise
-  ``& | ^ ~`` over the words advances every lane at once, and widening
-  a plane from 64 to N x 64 lanes is just ``n_words = N`` -- the lane
-  level tables (:mod:`repro.sim.batch_kernels`) address each net's
-  words as one contiguous run.
+* :class:`LanePlanes` -- one ``uint64`` word per net, **one bit per
+  lane**: bit ``b`` of net ``i``'s word is net ``i`` in lane ``b``, so
+  a plane holds :data:`LANE_CAPACITY` (64) simulation states.  Bitwise
+  ``& | ^ ~`` over the words advances every lane at once; the lane
+  level tables (:mod:`repro.sim.batch_kernels`) settle them.
 
 Lane *bookkeeping* masks (active lanes, armed lanes, per-lane force
-masks) stay arbitrary-precision Python ints -- one bit per lane, however
-many words the planes span -- and :func:`mask_to_words` converts them
-to per-word uint64 rows at the numpy boundary.
+masks) stay Python ints, one bit per lane, and become a ``uint64``
+scalar at the numpy boundary.
 
 Everything outside settle -- the testbench's memory ports, the PC and
 ``$monitor_x`` observers -- trades net codes too: :func:`to_codes` /
@@ -46,8 +44,8 @@ from ..logic.vector import LVec
 
 #: all bits of one plane word
 M64 = (1 << 64) - 1
-#: lanes packed into one uint64 plane word
-LANE_WORD = 64
+#: lanes packed into a :class:`LanePlanes` (one uint64 word per net)
+LANE_CAPACITY = 64
 
 #: the six plane names, in the order ``arrays()`` yields them
 PLANE_NAMES = ("val", "known", "toggled", "ever_x",
@@ -94,22 +92,9 @@ def codes_window(codes: np.ndarray) -> Tuple[int, int]:
     return lo, lo | (known ^ ((1 << len(codes)) - 1))
 
 
-def lane_word_bit(lane: int) -> Tuple[int, int]:
-    """``lane`` -> ``(word, bit-within-word)``."""
-    return divmod(lane, LANE_WORD)
-
-
-def mask_to_words(mask: int, n_words: int) -> np.ndarray:
-    """A Python-int lane mask as a ``(n_words,)`` uint64 row."""
-    return np.fromiter(((mask >> (LANE_WORD * w)) & M64
-                        for w in range(n_words)),
-                       dtype=np.uint64, count=n_words)
-
-
 def column_bits(arr: np.ndarray, lane: int) -> np.ndarray:
-    """One lane's bit column of a ``(n_nets, n_words)`` plane as bools."""
-    w, b = lane_word_bit(lane)
-    return ((arr[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
+    """One lane's bit column of a :class:`LanePlanes` plane as bools."""
+    return ((arr >> np.uint64(lane)) & np.uint64(1)).astype(bool)
 
 
 class BoolPlanes:
@@ -144,57 +129,37 @@ def paired(shape: Union[int, Tuple[int, ...]]
 
 
 class LanePlanes:
-    """``lanes`` simulation states: ``(n_nets, n_words)`` uint64 planes."""
+    """:data:`LANE_CAPACITY` simulation states: ``(n_nets,)`` uint64
+    planes, one bit per lane."""
 
-    __slots__ = ("n_nets", "lanes", "n_words", "full_mask",
-                 "val", "known", "toggled", "ever_x",
+    __slots__ = ("n_nets", "val", "known", "toggled", "ever_x",
                  "prev_val", "prev_known")
 
-    def __init__(self, n_nets: int, lanes: int):
-        if lanes <= 0 or lanes % LANE_WORD:
-            raise ValueError(
-                f"lane capacity must be a positive multiple of "
-                f"{LANE_WORD}, got {lanes}")
+    def __init__(self, n_nets: int):
         self.n_nets = n_nets
-        self.lanes = lanes
-        self.n_words = lanes // LANE_WORD
-        #: every lane bit set (Python int; the mask-space complement base)
-        self.full_mask = (1 << lanes) - 1
-        shape = (n_nets, self.n_words)
-        self.val = np.zeros(shape, dtype=np.uint64)
-        self.known = np.zeros(shape, dtype=np.uint64)
-        self.toggled = np.zeros(shape, dtype=np.uint64)
-        self.ever_x = np.zeros(shape, dtype=np.uint64)
-        self.prev_val = np.zeros(shape, dtype=np.uint64)
-        self.prev_known = np.zeros(shape, dtype=np.uint64)
+        self.val = np.zeros(n_nets, dtype=np.uint64)
+        self.known = np.zeros(n_nets, dtype=np.uint64)
+        self.toggled = np.zeros(n_nets, dtype=np.uint64)
+        self.ever_x = np.zeros(n_nets, dtype=np.uint64)
+        self.prev_val = np.zeros(n_nets, dtype=np.uint64)
+        self.prev_known = np.zeros(n_nets, dtype=np.uint64)
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
         return (self.val, self.known, self.toggled, self.ever_x,
                 self.prev_val, self.prev_known)
 
-    def mask_words(self, mask: int) -> np.ndarray:
-        """A lane-mask int as a ``(n_words,)`` row (broadcasts over nets)."""
-        return mask_to_words(mask, self.n_words)
-
-    def lane_mask_words(self, lane: int) -> np.ndarray:
-        """A single lane's mask as a ``(n_words,)`` row."""
-        return mask_to_words(1 << lane, self.n_words)
-
     def clear_lane(self, lane: int) -> None:
         """Zero one lane's bit column in every plane."""
-        w, b = lane_word_bit(lane)
-        inv = np.uint64(~(1 << b) & M64)
+        inv = np.uint64(~(1 << lane) & M64)
         for arr in self.arrays():
-            arr[:, w] &= inv
+            arr &= inv
 
     def copy_lane(self, src: int, dst: int) -> None:
         """Copy lane ``src``'s bit column into lane ``dst`` (every plane)."""
-        ws, bs = lane_word_bit(src)
-        wd, bd = lane_word_bit(dst)
-        sh_src, sh_dst = np.uint64(bs), np.uint64(bd)
-        inv = np.uint64(~(1 << bd) & M64)
+        sh_src, sh_dst = np.uint64(src), np.uint64(dst)
+        inv = np.uint64(~(1 << dst) & M64)
         one = np.uint64(1)
         for arr in self.arrays():
-            column = (arr[:, ws] >> sh_src) & one
-            arr[:, wd] &= inv
-            arr[:, wd] |= column << sh_dst
+            column = (arr >> sh_src) & one
+            arr &= inv
+            arr |= column << sh_dst

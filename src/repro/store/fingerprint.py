@@ -38,8 +38,7 @@ from typing import Dict, Optional
 #:
 #: v2: the SimBackend unification (one shared segment loop for serial /
 #: event / pool) and streaming lane compaction in the batch engine; the
-#: batch engine's lane capacity became a run parameter (``lanes``), now
-#: part of the fingerprint.
+#: batch engine's lane capacity joined the fingerprint (``lanes``).
 ENGINE_SEMANTICS_VERSION = 2
 
 
@@ -130,7 +129,6 @@ def run_fingerprint(*, netlist, strategy=None, constraints=None,
                     engine: str = "serial", frontier: str = "dfs",
                     max_cycles_per_path: int = 20000,
                     max_total_cycles: Optional[int] = 2_000_000,
-                    lanes: Optional[int] = None,
                     ) -> RunFingerprint:
     """Fingerprint one full co-analysis configuration.
 
@@ -139,6 +137,7 @@ def run_fingerprint(*, netlist, strategy=None, constraints=None,
     segment results are interchangeable and their
     :class:`~repro.coanalysis.results.CoAnalysisResult` is reusable.
     """
+    from ..sim.planes import LANE_CAPACITY
     from ..sim.state import STATE_FORMAT_VERSION
     components: Dict[str, object] = {
         "design": design,
@@ -149,9 +148,10 @@ def run_fingerprint(*, netlist, strategy=None, constraints=None,
                                           symbolic_ranges)
                      if program is not None else "none"),
         "engine": engine,
-        # lane-plane width for the batch engine (None elsewhere): a
-        # 64-lane warm cache must miss cleanly at 128 lanes
-        "lanes": lanes,
+        # the batch engine's plane width (None on every other engine);
+        # runs recorded while the width was a run option stored these
+        # same values, so their digests still match
+        "lanes": LANE_CAPACITY if engine == "batch" else None,
         "frontier": frontier,
         "max_cycles_per_path": max_cycles_per_path,
         "max_total_cycles": max_total_cycles,

@@ -8,9 +8,7 @@ checkpoint must only ever resume the run it belongs to.
 The whole suite re-runs under any frontier scheduling strategy: set
 ``REPRO_FRONTIER`` (``dfs``/``bfs``/``novelty``) to pin the schedule --
 CI runs the dfs and bfs legs -- since resumption must be
-order-independent.  ``REPRO_LANES`` (a multiple of 64) widens the
-batched engine's lane planes the same way -- CI runs a 64/128/256
-matrix -- since interrupt/resume must be lane-width-independent too.
+order-independent.
 """
 
 import os
@@ -28,10 +26,6 @@ DESIGN, BENCH = "bm32", "Div"
 
 #: frontier scheduling strategy under test (None = engine defaults)
 FRONTIER = os.environ.get("REPRO_FRONTIER") or None
-
-#: batched-engine lane width under test (None = engine default of 64)
-LANES = int(os.environ["REPRO_LANES"]) if os.environ.get("REPRO_LANES") \
-    else None
 
 pytestmark = pytest.mark.timeout(600)
 
@@ -52,7 +46,6 @@ def make_serial(**kw):
 
 def make_batch(**kw):
     kw.setdefault("frontier", FRONTIER)
-    kw.setdefault("lanes", LANES)
     target = build_target(DESIGN, WORKLOADS[BENCH])
     return CoAnalysisEngine(target, csm=ConservativeStateManager(),
                             application=BENCH, backend="batch", **kw)

@@ -43,17 +43,13 @@ def tiny_target() -> CoreTarget:
                       symbolic_ranges=[(INPUT_BASE, INPUT_BASE + 1)])
 
 
+BACKENDS = {"serial": "cycle", "event": "event", "batch": "batch"}
+
+
 def run_engine(engine_name: str, frontier: str, **kw):
-    if engine_name.startswith("batch"):
-        # "batch128" / "batch256" are lane-width legs of the batch engine
-        backend = "batch"
-        if engine_name != "batch":
-            kw.setdefault("lanes", int(engine_name[len("batch"):]))
-    else:
-        backend = {"serial": "cycle", "event": "event"}[engine_name]
     return CoAnalysisEngine(tiny_target(), application="tiny",
-                            frontier=frontier, backend=backend,
-                            **kw).run()
+                            frontier=frontier,
+                            backend=BACKENDS[engine_name], **kw).run()
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +64,7 @@ def test_serial_explores_the_branch(serial_dfs):
     assert 0 < len(gates) < serial_dfs.total_gates
 
 
-@pytest.mark.parametrize("engine_name", ["serial", "event", "batch",
-                                         "batch128", "batch256"])
+@pytest.mark.parametrize("engine_name", ["serial", "event", "batch"])
 @pytest.mark.parametrize("frontier", sorted(FRONTIER_STRATEGIES))
 def test_dichotomy_engine_and_order_invariant(engine_name, frontier,
                                               serial_dfs):
@@ -155,13 +150,12 @@ def two_branch_target() -> CoreTarget:
                       symbolic_ranges=[(INPUT_BASE, INPUT_BASE + 2)])
 
 
-@pytest.mark.parametrize("lanes", [64, 128, 256])
-def test_batch_compaction_matches_serial(lanes):
-    """Mid-wave lane compaction is result-invisible at every plane
-    width: capping live occupancy at 2 lanes forces retired slots to be
-    refilled from the frontier while other lanes keep running, and the
-    dichotomy, path accounting and profile still match the serial
-    reference bit for bit."""
+def test_batch_compaction_matches_serial():
+    """Mid-wave lane compaction is result-invisible: capping live
+    occupancy at 2 lanes forces retired slots to be refilled from the
+    frontier while other lanes keep running, and the dichotomy, path
+    accounting and profile still match the serial reference bit for
+    bit."""
     from repro.coanalysis.batch_executor import BatchSegmentExecutor
     from repro.coanalysis.kernel import ExplorationKernel
 
@@ -169,8 +163,7 @@ def test_batch_compaction_matches_serial(lanes):
                                  application="twobranch").run()
     assert reference.splits >= 2        # both branches actually forked
 
-    executor = BatchSegmentExecutor(two_branch_target(), lanes=lanes,
-                                    max_lanes=2)
+    executor = BatchSegmentExecutor(two_branch_target(), max_lanes=2)
     result = ExplorationKernel(executor, application="twobranch",
                                frontier="bfs").run()
     assert result.profile.exercisable_gates() == \
@@ -184,6 +177,37 @@ def test_batch_compaction_matches_serial(lanes):
     # of different length retire at different cycles: compaction fired
     assert stats.compactions > 0
     assert stats.refills > 0
+
+
+#: RunMetrics fields that describe the run's attempts, not its answer
+ATTEMPT_METRICS = ("checkpoints", "resumes", "frontier_high_water",
+                   "phase_seconds", "wall_seconds")
+
+
+@pytest.mark.parametrize("engine_name", ["serial", "batch"])
+def test_resumed_run_metrics_match_uninterrupted(engine_name, tmp_path):
+    """A run stopped by a segment budget and resumed reports the same
+    trace metrics -- halts and per-outcome counts included -- as one
+    that ran straight through."""
+    from repro.resilience.governor import RunBudget
+
+    def run(**kw):
+        return CoAnalysisEngine(two_branch_target(),
+                                application="twobranch",
+                                backend=BACKENDS[engine_name], **kw).run()
+
+    whole = run()
+    ckpt = tmp_path / "run.ckpt"
+    partial = run(checkpoint=str(ckpt), budget=RunBudget(max_segments=3))
+    assert not partial.complete
+    assert partial.metrics.halts > 0
+    resumed = run(checkpoint=str(ckpt), resume=True)
+    assert resumed.resumed
+    got, want = resumed.metrics.summary(), whole.metrics.summary()
+    for key in ATTEMPT_METRICS:
+        del got[key], want[key]
+    assert got == want
+    assert sum(got["outcomes"].values()) == got["paths_explored"]
 
 
 def test_batch_trace_carries_compaction_stats(tmp_path):

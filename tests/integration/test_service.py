@@ -135,7 +135,9 @@ def test_http_api_round_trip(tmp_path):
                 client.submit({"design": "dr5"})
             assert err.value.status == 400
             # ... and so is one naming the removed worker-pool engine
-            for field, value in (("workers", 2), ("engine", "parallel")):
+            # or lane width
+            for field, value in (("workers", 2), ("engine", "parallel"),
+                                 ("lanes", 64)):
                 with pytest.raises(ServiceError, match=field) as err:
                     client.submit({"design": "dr5", "benchmark": "mult",
                                    field: value})

@@ -85,24 +85,27 @@ class TestKernelParity:
         nl = all_kinds_netlist()
         c1 = CompiledNetlist(nl)
         assert batch_kernels_for(c1) is batch_kernels_for(c1)
+        assert batch_kernels_for(c1, 1) is batch_kernels_for(c1)
         assert batch_kernels_for(CompiledNetlist(nl)) is not \
             batch_kernels_for(c1)
+        with pytest.raises(ValueError):
+            batch_kernels_for(c1, 2)     # the planes are one word
 
     def test_divergent_lanes_settle_independently(self):
-        """128 lanes, one of the 27 input combinations each (every
-        combination in both plane words), one shared settle: every comb
+        """64 lanes, one of the 27 input combinations each (every
+        combination at least twice), one shared settle: every comb
         kind's output in every lane is its COMB_EVAL value."""
         nl = all_kinds_netlist()
-        batch = BatchCycleSim(CompiledNetlist(nl), lanes=128)
+        batch = BatchCycleSim(CompiledNetlist(nl))
         pins = {p: nl.net_index(p) for p in "abs"}
         combos = [dict(zip("abs", ins)) for ins in
                   itertools.product(LOGICS, repeat=3)]
-        for lane in range(batch.capacity):
+        for lane in range(LANE_CAPACITY):
             assert batch.alloc_lane() == lane
             for pin, value in combos[lane % len(combos)].items():
                 batch.lane_set_net(lane, pins[pin], value)
         batch.settle()
-        for lane in range(batch.capacity):
+        for lane in range(LANE_CAPACITY):
             combo = combos[lane % len(combos)]
             for kind, kind_pins in KIND_PINS.items():
                 want = COMB_EVAL[kind]([combo[p] for p in kind_pins])
@@ -113,17 +116,16 @@ class TestKernelParity:
             assert batch.lane_get_net(lane, nl.net_index("y_T1")) is \
                 Logic.L1
 
-    @pytest.mark.parametrize("n_words", [1, 2, 4])
     @pytest.mark.parametrize("design", ["bm32", "omsp430", "dr5"])
     def test_lane_tables_match_reference_sweep_on_random_planes(
-            self, design, n_words):
+            self, design):
         """On X-laden random planes (``val`` inside ``known``) one settle
         equals the fused per-group reference sweep bit for bit."""
         compiled = compile_netlist(built_core(design)[0])
-        batch = BatchCycleSim(compiled, lanes=64 * n_words)
-        for _ in range(batch.capacity):
+        batch = BatchCycleSim(compiled)
+        for _ in range(LANE_CAPACITY):
             batch.alloc_lane()
-        rng = np.random.default_rng(n_words)
+        rng = np.random.default_rng(1)
         shape = batch.known.shape
         batch.known[...] = rng.integers(0, 2**64, shape, dtype=np.uint64)
         batch.val[...] = rng.integers(0, 2**64, shape, dtype=np.uint64) \
@@ -532,154 +534,6 @@ class TestLaneView:
         assert [g is v for g, v in zip(got.bits, vec.bits)] == [True] * 3
 
 
-class TestMultiWordPlanes:
-    """Widened planes: N*64 lanes stored as (n_nets, n_words) uint64.
-
-    Lanes past 63 live in higher words; every multi-word path --
-    alloc, fork, settle, clock, activity, snapshot -- must behave
-    exactly like the single-word engine on lane 0.
-    """
-
-    def test_capacity_must_be_multiple_of_64(self):
-        nl = counter_netlist()
-        compiled = CompiledNetlist(nl)
-        for bad in (0, -64, 100, 65):
-            with pytest.raises(ValueError):
-                BatchCycleSim(compiled, lanes=bad)
-        assert BatchCycleSim(compiled, lanes=128).capacity == 128
-
-    @pytest.mark.parametrize("lanes", [128, 256])
-    def test_capacity_enforced_at_width(self, lanes):
-        nl = counter_netlist()
-        batch = BatchCycleSim(CompiledNetlist(nl), lanes=lanes)
-        for _ in range(lanes):
-            batch.alloc_lane()
-        assert batch.n_lanes == lanes
-        with pytest.raises(LaneCapacityError):
-            batch.alloc_lane()
-
-    @pytest.mark.parametrize("lanes", [64, 128, 256])
-    def test_counter_parity_across_words(self, lanes):
-        """Lanes in every word of the plane match a serial CycleSim fed
-        the same per-lane reset timing -- 64/128/256-lane runs are
-        bit-identical to serial and therefore to each other."""
-        nl = counter_netlist()
-        compiled = CompiledNetlist(nl)
-        batch = BatchCycleSim(compiled, lanes=lanes)
-        rst = nl.net_index("rst")
-        all_lanes = [batch.alloc_lane() for _ in range(lanes)]
-        # sample lanes around every word boundary plus the extremes
-        picks = sorted({0, 1, 62, 63} |
-                       {b + d for b in range(64, lanes, 64)
-                        for d in (-1, 0, 1)} | {lanes - 1})
-        release_at = {lane: (lane % 5) + 1 for lane in picks}
-        serials = {lane: CycleSim(compiled) for lane in picks}
-        for lane in all_lanes:
-            batch.lane_set_net(lane, rst, Logic.L1)
-        for serial in serials.values():
-            serial.set_net(rst, Logic.L1)
-        for cycle in range(8):
-            for lane in picks:
-                if cycle == release_at[lane]:
-                    batch.lane_set_net(lane, rst, Logic.L0)
-                    serials[lane].set_net(rst, Logic.L0)
-            batch.settle()
-            batch.clock_edge()
-            for serial in serials.values():
-                serial.settle()
-                serial.clock_edge()
-        batch.settle()
-        for lane in picks:
-            serial = serials[lane]
-            serial.settle()
-            val, known = batch.lane_planes(lane)
-            assert (val == serial.val).all(), f"lane {lane}"
-            assert (known == serial.known).all(), f"lane {lane}"
-
-    def test_fork_across_word_boundary(self):
-        """A fork whose destination lane lands in a higher word copies
-        the source state bit-exactly and then diverges independently."""
-        nl = counter_netlist()
-        compiled = CompiledNetlist(nl)
-        batch = BatchCycleSim(compiled, lanes=128)
-        rst = nl.net_index("rst")
-        src = batch.alloc_lane()
-        batch.lane_set_net(src, rst, Logic.L1)
-        batch.settle()
-        batch.clock_edge()
-        batch.lane_set_net(src, rst, Logic.L0)
-        for _ in range(3):
-            batch.settle()
-            batch.clock_edge()
-        batch.settle()
-        # fill word 0, then fork: the copy lands in word 1
-        while batch.n_lanes < 64:
-            batch.alloc_lane()
-        child = batch.fork_lane(src)
-        assert child >= 64
-        val_s, known_s = batch.lane_planes(src)
-        val_c, known_c = batch.lane_planes(child)
-        assert (val_s == val_c).all()
-        assert (known_s == known_c).all()
-        # hold the child in reset while the source keeps counting
-        batch.lane_set_net(child, rst, Logic.L1)
-        for _ in range(2):
-            batch.settle()
-            batch.clock_edge()
-        batch.settle()
-        y = nl.bus("y", 4)
-        assert batch.lane_get_bus(child, y).to_int() == 0
-        assert batch.lane_get_bus(src, y).to_int() == 5
-
-    def test_activity_and_snapshot_in_high_word(self):
-        """Activity planes and snapshot/restore round-trip for a lane
-        in word >= 1, matching an armed serial sim."""
-        nl = counter_netlist()
-        compiled = CompiledNetlist(nl)
-        batch = BatchCycleSim(compiled, lanes=192)
-        rst = nl.net_index("rst")
-        for _ in range(130):
-            batch.alloc_lane()
-        lane = 129                      # word 2, bit 1
-        serial = CycleSim(compiled)
-        batch.lane_set_net(lane, rst, Logic.L1)
-        serial.set_net(rst, Logic.L1)
-        batch.settle()
-        serial.settle()
-        batch.lane_arm_activity(lane)
-        serial.arm_activity()
-        batch.lane_set_net(lane, rst, Logic.L0)
-        serial.set_net(rst, Logic.L0)
-        for _ in range(4):
-            batch.settle()
-            batch.clock_edge()
-            batch.record_activity_now(1 << lane)
-            serial.settle()
-            serial.clock_edge()
-            serial.record_activity_now()
-        batch.settle()
-        serial.settle()
-        toggled, ever_x = batch.lane_activity(lane)
-        assert (toggled == serial.toggled).all()
-        assert (ever_x == serial.ever_x).all()
-        snap = batch.lane_snapshot(lane, pc=7)
-        fresh = CycleSim(compiled)
-        fresh.restore(snap)
-        fresh.settle()
-        val, known = batch.lane_planes(lane)
-        assert (fresh.val == val).all()
-        assert (fresh.known == known).all()
-
-    def test_kernels_cached_per_word_count(self):
-        nl = counter_netlist()
-        compiled = CompiledNetlist(nl)
-        k1 = batch_kernels_for(compiled, 1)
-        k2 = batch_kernels_for(compiled, 2)
-        assert k1 is not k2
-        assert batch_kernels_for(compiled, 2) is k2
-        assert batch_kernels_for(compiled) is k1
-
-
 def bus_netlist(width=12):
     """``width`` primary inputs ``d[i]`` and an AND chain over them."""
     nl = Netlist("bus")
@@ -698,21 +552,21 @@ def bus_netlist(width=12):
 class TestLaneSetBus:
     def test_matches_per_bit_lane_set_net(self):
         """Random X-laden buses, forces in the written lane and in other
-        lanes, lanes on both sides of a word boundary: one masked bus
+        lanes, lanes from the lowest to the highest bit: one masked bus
         write leaves the planes exactly as per-bit writes do."""
         nl = bus_netlist()
         compiled = CompiledNetlist(nl)
         nets = nl.bus("d", 12)
-        bus, bits = (BatchCycleSim(compiled, lanes=128) for _ in range(2))
+        bus, bits = (BatchCycleSim(compiled) for _ in range(2))
         for sim in (bus, bits):
-            for _ in range(sim.capacity):
+            for _ in range(LANE_CAPACITY):
                 sim.alloc_lane()
-            sim.lane_force(63, nets[2], Logic.L1)
-            sim.lane_force(64, nets[2], Logic.X)
-            sim.lane_force(64, nets[7], Logic.L0)
+            sim.lane_force(31, nets[2], Logic.L1)
+            sim.lane_force(32, nets[2], Logic.X)
+            sim.lane_force(32, nets[7], Logic.L0)
             sim.lane_force(1, nets[7], Logic.L1)
         rng = np.random.default_rng(5)
-        for lane in (0, 1, 62, 63, 64, 65, 127):
+        for lane in (0, 1, 31, 32, 33, 62, 63):
             for _ in range(4):
                 value = LVec([LOGICS[i] for i in rng.integers(0, 3, 12)])
                 bus.lane_set_bus(lane, nets, value)
@@ -727,8 +581,8 @@ class TestLaneSetBus:
 
     def test_identical_rewrite_leaves_next_settle_a_noop(self):
         nl = bus_netlist()
-        batch = BatchCycleSim(CompiledNetlist(nl), lanes=128)
-        lane = [batch.alloc_lane() for _ in range(70)][-1]
+        batch = BatchCycleSim(CompiledNetlist(nl))
+        lane = [batch.alloc_lane() for _ in range(50)][-1]
         nets = nl.bus("d", 12)
         value = LVec.from_str("1X0110X10011")
         batch.lane_set_bus(lane, nets, value)
@@ -752,14 +606,14 @@ class TestSettleCounters:
     of a live lane changed, and is otherwise a noop that leaves the
     planes untouched."""
 
-    LANE = 64           # first lane of the second plane word
+    LANE = 40           # a live lane past the low ones
 
     def settled(self):
-        """A 128-lane counter with lanes 0-65 counting, settled."""
+        """A counter with lanes 0-45 counting, settled."""
         nl = counter_netlist()
-        batch = BatchCycleSim(CompiledNetlist(nl), lanes=128)
+        batch = BatchCycleSim(CompiledNetlist(nl))
         rst = nl.net_index("rst")
-        for _ in range(66):
+        for _ in range(46):
             batch.lane_set_net(batch.alloc_lane(), rst, Logic.L1)
         batch.settle()
         batch.clock_edge()

@@ -87,23 +87,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["analyze", "dr5", "mult", "--resume"])
 
-    def test_lanes_requires_batch_engine(self, capsys):
-        rc = main(["run", "dr5", "mult", "--lanes", "128"])
-        assert rc == 2
-        assert "--engine batch" in capsys.readouterr().err
-
-    def test_lanes_must_be_multiple_of_64(self, capsys):
-        rc = main(["run", "dr5", "mult", "--engine", "batch",
-                   "--lanes", "100"])
-        assert rc == 2
-        assert "multiple of 64" in capsys.readouterr().err
-
-    def test_batch_lanes_accepted(self, capsys):
-        rc = main(["run", "dr5", "mult", "--engine", "batch",
-                   "--lanes", "128", "--json"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["paths_created"] > 1
+    def test_lanes_option_is_gone(self, capsys):
+        # the batch engine is always one 64-lane word
+        for command in ("run", "analyze", "submit"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "dr5", "mult", "--engine", "batch",
+                      "--lanes", "128"])
+            assert exc.value.code == 2
+            assert "--lanes" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -180,11 +171,12 @@ class TestCommands:
         assert "peak switching bound" in out
         assert "energy saving" in out
 
-    def test_run_with_trace_writes_jsonl(self, tmp_path, capsys):
+    @pytest.mark.parametrize("engine", ["serial", "event", "batch"])
+    def test_run_with_trace_writes_jsonl(self, engine, tmp_path, capsys):
         from repro.coanalysis.trace import aggregate_trace, read_trace
         out = tmp_path / "run.jsonl"
         rc = main(["run", "dr5", "mult", "--strategy", "bfs",
-                   "--trace", str(out), "--json"])
+                   "--engine", engine, "--trace", str(out), "--json"])
         assert rc == 0
         captured = capsys.readouterr()
         assert f"trace written to {out}" in captured.err

@@ -14,7 +14,7 @@ import pytest
 
 from repro.coanalysis.executors import EventSimBridge
 from repro.logic import Logic
-from repro.sim import BatchCycleSim, CycleSim
+from repro.sim import LANE_CAPACITY, BatchCycleSim, CycleSim
 from repro.workloads import WORKLOADS, build_target
 
 DESIGNS = ("bm32", "omsp430", "dr5")
@@ -23,8 +23,8 @@ CODES = np.array([0x000, 0x100, 0x101], dtype="<u2")
 #: X -> 0 -> 1 -> X, indexed by code
 NEXT_CODE = np.zeros(0x102, dtype="<u2")
 NEXT_CODE[[0x000, 0x100, 0x101]] = [0x100, 0x101, 0x000]
-#: lanes on both sides of the first plane-word boundary
-LANES = (0, 63, 64, 127)
+#: the lowest and the highest lane of the plane word
+LANES = (0, LANE_CAPACITY - 1)
 _TARGETS = {}
 
 
@@ -57,12 +57,12 @@ def random_sims(design, facade, rng, p_x=0.3):
         sim = target.prepare_sim(EventSimBridge(target.netlist, compiled))
         sim.load_value_planes(*state())
         return [sim]
-    batch = BatchCycleSim(compiled, lanes=128)
-    for _ in range(batch.capacity):
+    batch = BatchCycleSim(compiled)
+    for _ in range(LANE_CAPACITY):
         batch.alloc_lane()
-    for plane, bits in zip((batch.val, batch.known), state(batch.capacity)):
+    for plane, bits in zip((batch.val, batch.known), state(LANE_CAPACITY)):
         plane[...] = np.packbits(bits, axis=1,
-                                 bitorder="little").view(np.uint64)
+                                 bitorder="little").view(np.uint64)[:, 0]
     batch.mark_all_dirty()
     return [target.prepare_sim(batch.lane_view(lane)) for lane in LANES]
 

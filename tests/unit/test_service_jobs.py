@@ -67,12 +67,12 @@ def test_spec_rejects_worker_pool_fields(field, value, match):
         make_spec(**{field: value})
 
 
-def test_spec_lanes_requires_batch_engine():
-    with pytest.raises(JobSpecError, match="batch"):
-        make_spec(lanes=64)
-    with pytest.raises(JobSpecError, match="multiple"):
-        make_spec(engine="batch", lanes=65)
-    assert make_spec(engine="batch", lanes=128).lanes == 128
+@pytest.mark.parametrize("engine", ["serial", "batch"])
+def test_spec_naming_lanes_is_rejected(engine):
+    # the batch engine is always one 64-lane word: a new submission
+    # naming a lane width is refused by name
+    with pytest.raises(JobSpecError, match="unknown spec field.*lanes"):
+        make_spec(engine=engine, lanes=64)
 
 
 @pytest.mark.parametrize("field", ["deadline_seconds", "max_rss_mb",
@@ -98,7 +98,7 @@ def test_dedup_key_separates_budget_envelopes():
 
 
 def test_spec_round_trips_through_dict():
-    spec = make_spec(engine="batch", lanes=64, max_segments=9,
+    spec = make_spec(engine="batch", max_segments=9,
                      submitter="alice", dedup=False)
     assert JobSpec.from_dict(spec.to_dict()) == spec
 
@@ -207,6 +207,44 @@ def test_job_store_lists_manifests_stored_with_workers(tmp_path):
     # the single-process manifest loads; the pool one stays skipped,
     # like any other foreign manifest
     assert [j.job_id for j in store.list_jobs()] == [old.job_id]
+
+
+def _stored_with_lanes(job: Job, lanes) -> dict:
+    """``job``'s manifest as stored while specs still had ``lanes``."""
+    manifest = job.to_manifest()
+    manifest["spec"] = dict(manifest["spec"], lanes=lanes)
+    return manifest
+
+
+@pytest.mark.parametrize("engine,lanes", [("serial", None),
+                                          ("batch", None),
+                                          ("batch", 64)])
+def test_manifest_with_the_one_lane_width_loads(engine, lanes):
+    job = Job.new(make_spec(engine=engine), FP)
+    clone = Job.from_manifest(_stored_with_lanes(job, lanes))
+    assert clone.spec == job.spec
+    assert clone.to_manifest() == job.to_manifest()
+
+
+@pytest.mark.parametrize("engine,lanes", [("serial", 64),
+                                          ("batch", 128)])
+def test_manifest_naming_another_lane_width_is_rejected(engine, lanes):
+    job = Job.new(make_spec(engine=engine), FP)
+    with pytest.raises(JobSpecError, match="lanes"):
+        Job.from_manifest(_stored_with_lanes(job, lanes))
+
+
+def test_job_store_lists_manifests_stored_with_lanes(tmp_path):
+    content = ContentStore(tmp_path / "store")
+    store = JobStore(content)
+    jobs = [Job.new(make_spec(engine="batch"), FP) for _ in range(3)]
+    for offset, (job, lanes) in enumerate(zip(jobs, (None, 64, 256))):
+        job.created += offset
+        content.put_manifest(f"job-{job.job_id}",
+                             _stored_with_lanes(job, lanes))
+    # the 256-lane manifest stays skipped, like any foreign manifest
+    assert [j.job_id for j in store.list_jobs()] \
+        == [j.job_id for j in jobs[:2]]
 
 
 def test_job_store_skips_foreign_manifests(tmp_path):

@@ -77,11 +77,11 @@ class TestLockstep:
                                 engines=("event", "batch")).equivalent
 
     def test_batch_leg_as_lane_view_object(self):
-        """A LaneView of a wider sim can be passed in directly."""
+        """A LaneView of a batched sim can be passed in directly."""
         from repro.sim.batch_sim import BatchCycleSim
         from repro.sim.cycle_sim import compile_netlist
         nl = counter()
-        sim = BatchCycleSim(compile_netlist(nl), lanes=128)
+        sim = BatchCycleSim(compile_netlist(nl))
         view = sim.lane_view(sim.alloc_lane())
         stim = [{"rst": Logic.L1, "en": Logic.L0}] + \
                [{"rst": Logic.L0, "en": Logic.L1}] * 5

@@ -129,4 +129,15 @@ class TestProgressLine:
         text = stream.getvalue()
         assert "paths=1" in text
         assert "frontier=2" in text
-        assert text.endswith("\n")
+        # run_end ends the line; close() must not add a blank one
+        assert text.endswith("t=2.0s\n")
+        assert text.count("\n") == 1
+
+    def test_close_terminates_an_interrupted_line(self):
+        stream = io.StringIO()
+        line = ProgressLine(stream=stream, min_interval=0.0)
+        line.emit(TraceEvent("segment_end", t=1.0, cycles=5, frontier=2))
+        line.close()
+        line.close()
+        assert stream.getvalue().endswith("t=1.0s\n")
+        assert stream.getvalue().count("\n") == 1
