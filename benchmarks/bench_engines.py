@@ -42,13 +42,16 @@ TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_engines.json"
 TRAJECTORY_KEEP = 50
 
 
-def _git_commit() -> str:
-    """Short commit hash of the working tree, "unknown" outside git."""
+def _git_commit(cwd: Path = Path(__file__).resolve().parent) -> str:
+    """The working tree's ``git describe --always --dirty`` stamp: the
+    short commit hash, with ``-dirty`` when tracked files differ from
+    it (an uncommitted change is not its parent commit); "unknown"
+    outside git."""
     import subprocess
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
+            ["git", "describe", "--always", "--dirty"],
+            cwd=cwd, capture_output=True,
             text=True, timeout=10, check=True).stdout.strip() or "unknown"
     except Exception:
         return "unknown"
@@ -57,10 +60,11 @@ def _git_commit() -> str:
 def _record_trajectory(entry: dict) -> None:
     """Record ``entry`` in the committed BENCH_engines.json history.
 
-    Entries are stamped with the current commit; re-running the bench
-    on the same commit *replaces* that commit's measurement for the
+    Entries are stamped with :func:`_git_commit`; re-running the bench
+    on the same stamp *replaces* that stamp's measurement for the
     same (design, lanes, cycles) configuration instead of blind-
-    appending, so local re-runs don't flood the trajectory.
+    appending, so local re-runs don't flood the trajectory, and a run
+    on an uncommitted change never replaces its parent's entry.
     """
     from repro.resilience.artifacts import atomic_write_json
     entry = dict(entry, commit=_git_commit())
@@ -79,6 +83,30 @@ def _record_trajectory(entry: dict) -> None:
     atomic_write_json(TRAJECTORY,
                       {"bench": "bench_engines",
                        "runs": history[-TRAJECTORY_KEEP:]})
+
+
+def test_commit_stamp_marks_uncommitted_changes(tmp_path):
+    """A clean tree is stamped with its short hash, a modified one with
+    ``<hash>-dirty``, and a directory outside git with "unknown"."""
+    import subprocess
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path / "repo",
+                              capture_output=True, text=True, timeout=30,
+                              check=True).stdout.strip()
+
+    (tmp_path / "repo").mkdir()
+    (tmp_path / "outside").mkdir()
+    git("init", "-q")
+    (tmp_path / "repo" / "f.txt").write_text("one\n")
+    git("add", "f.txt")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com",
+        "commit", "-q", "-m", "one")
+    head = git("rev-parse", "--short", "HEAD")
+    assert _git_commit(tmp_path / "repo") == head
+    (tmp_path / "repo" / "f.txt").write_text("two\n")
+    assert _git_commit(tmp_path / "repo") == f"{head}-dirty"
+    assert _git_commit(tmp_path / "outside") == "unknown"
 
 
 def _counter(width=8):
@@ -258,7 +286,8 @@ def _assert_settle_beats_sweep(label, sim, sweep):
         t_fused = min(t_fused, timeit.timeit(lambda: sweep(val, known),
                                              number=SETTLE_REPS))
     speedup = t_fused / t_settle
-    print(f"\n  bm32 Div {label} ({SETTLE_REPS} reps): "
+    print(f"\n  bm32 Div {label} on the {sim.kernel} kernel "
+          f"({SETTLE_REPS} reps): "
           f"{t_settle*1000:.1f} ms, fused sweep {t_fused*1000:.1f} ms "
           f"-> {speedup:.1f}x")
     assert speedup >= SETTLE_MIN_SPEEDUP, (
@@ -328,7 +357,7 @@ def test_batch_engine_replay_speedup(benchmark):
     speedup = serial_ms / t_batch_ms
     throughput = LANE_CAPACITY * CYCLES_BIG / t_batch_ms
     print(f"\n  batched replay ({LANE_CAPACITY} lanes x {CYCLES_BIG} "
-          f"cycles): serial {serial_ms:.1f} ms, "
+          f"cycles, {batch.kernel} kernel): serial {serial_ms:.1f} ms, "
           f"batch {t_batch_ms:.1f} ms -> {speedup:.1f}x, "
           f"{throughput:.0f} lane-cycles/ms")
 
@@ -346,6 +375,7 @@ def test_batch_engine_replay_speedup(benchmark):
     _record_trajectory({
         "date": time.strftime("%Y-%m-%d"),
         "design": "bm32",
+        "kernel": batch.kernel,
         "gates": nl.gate_count(),
         "lanes": LANE_CAPACITY,
         "cycles": CYCLES_BIG,

@@ -90,12 +90,17 @@ class SimBackend:
         How many paths the kernel should pop per batch: ``1`` for
         one-sim-at-a-time backends, ``None`` for "the whole frontier"
         (the lockstep batch backend).
+    settle_kernel : Optional[str]
+        Which level kernel settles the prepared simulator (``"c"`` or
+        ``"numpy"``, see :mod:`repro.sim.native`), named in the trace's
+        ``run_start``; None for a backend without level tables.
     """
 
     kind = "abstract"
     design = "?"
     netlist = None
     batch_limit: Optional[int] = 1
+    settle_kernel: Optional[str] = None
     #: set by the kernel when a segment cache is active: the backend
     #: must attach per-segment planes to ``SegmentResult.activity``
     #: instead of absorbing them into the profile itself

@@ -140,6 +140,7 @@ class BatchSegmentExecutor(SimBackend):
     def prepare(self) -> SimState:
         target = self.target
         self.sim = BatchCycleSim(target.compiled)
+        self.settle_kernel = self.sim.kernel
         lane = self.sim.alloc_lane()
         view = self.sim.lane_view(lane)
         target.prepare_sim(view)

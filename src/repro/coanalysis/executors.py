@@ -70,6 +70,7 @@ class SerialExecutor(SimBackend):
                 EventSimBridge(target.netlist, target.compiled))
         else:
             sim = target.make_sim()
+            self.settle_kernel = sim.kernel
         self.sim = sim
         state = prepare_initial_state(target, sim)
         sim.arm_activity()

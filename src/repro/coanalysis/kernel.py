@@ -115,12 +115,15 @@ class ExplorationKernel:
             initial = executor.prepare()
             # run_start frames the trace even when resuming: emit it
             # before _apply_checkpoint's "resume" event
+            start = {"design": result.design,
+                     "application": self.application,
+                     "engine": executor.kind,
+                     "strategy": self.frontier.name,
+                     "resuming": payload is not None}
+            if executor.settle_kernel is not None:
+                start["kernel"] = executor.settle_kernel
             tracer.emit("run_start", frontier=int(payload is None),
-                        data={"design": result.design,
-                              "application": self.application,
-                              "engine": executor.kind,
-                              "strategy": self.frontier.name,
-                              "resuming": payload is not None})
+                        data=start)
             if payload is not None:
                 self._apply_checkpoint(payload, result)
             else:

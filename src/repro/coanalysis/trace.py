@@ -28,7 +28,8 @@ from typing import Dict, IO, Iterable, List, Optional
 #: the closed vocabulary of event kinds the kernel emits.  Sinks may
 #: rely on unknown kinds never appearing; bump alongside the kernel.
 EVENT_KINDS = (
-    "run_start",      # exploration begins (design, application, strategy)
+    "run_start",      # exploration begins (design, application, engine,
+                      # strategy, settle kernel)
     "segment_start",  # a pending path was popped and dispatched
     "segment_end",    # one segment finished (outcome, cycles, pc)
     "halt",           # $monitor_x tripped: a state reached the CSM

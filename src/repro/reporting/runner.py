@@ -18,7 +18,6 @@ segments instead of re-simulating them.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from pathlib import Path
@@ -30,6 +29,7 @@ from ..coanalysis.trace import JsonlTraceSink, ProgressLine, Tracer
 from ..csm.constraints import ConstraintSet, parse_constraints
 from ..csm.manager import ConservativeStateManager
 from ..csm.strategies import MergeStrategy, UberConservative
+from ..resilience.artifacts import default_cache_dir  # noqa: F401 (re-export)
 from ..store import ContentStore, RunFingerprint, SegmentResultCache, \
     run_fingerprint
 from ..workloads import WORKLOAD_ORDER, WORKLOADS, build_target
@@ -281,19 +281,3 @@ def run_grid(designs: Sequence[str] = tuple(DESIGN_ORDER),
                     "result": digest,
                 })
     return results
-
-
-def default_cache_dir() -> Path:
-    """Where grid results cache by default.
-
-    ``REPRO_CACHE_DIR`` wins when set; otherwise the platform user
-    cache (``$XDG_CACHE_HOME``/``~/.cache``) -- never the installed
-    package tree, which may be read-only and is shared between
-    projects.
-    """
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro"

@@ -32,6 +32,23 @@ from typing import Iterator, Union
 PathLike = Union[str, Path]
 
 
+def default_cache_dir() -> Path:
+    """Where cached artifacts (grid results, the compiled level kernel)
+    live by default.
+
+    ``REPRO_CACHE_DIR`` wins when set; otherwise the platform user
+    cache (``$XDG_CACHE_HOME``/``~/.cache``) -- never the installed
+    package tree, which may be read-only and is shared between
+    projects.
+    """
+    env = os.environ.get("REPRO_CACHE_DIR")
+    if env:
+        return Path(env)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path.home() / ".cache"
+    return base / "repro"
+
+
 def fsync_dir(path: PathLike) -> None:
     """Flush a directory's entry table to disk (best effort).
 

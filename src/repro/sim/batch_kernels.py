@@ -23,7 +23,10 @@ the right operand of every gate's three product terms, per rail -- one
 AND and two ORs over ``uint64`` words (one bit per lane), and one
 scatter: the same few bulk operations for 1 lane or 64, on operands of
 one shape.  :func:`batch_kernels_for` builds the flat rail positions
-once per compiled netlist and caches them.
+once per compiled netlist and caches them, with the same positions
+packed as one int32 row per gate (:attr:`BatchKernels.lane_rows`) for
+the compiled level kernel (:mod:`repro.sim.native`), which evaluates
+the same mux per gate in C.
 
 :func:`reference_sweep` keeps the older formulation -- generated Python
 source, one fused ``& | ^ ~`` expression block per ``(level, kind)``
@@ -38,6 +41,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from . import native
 from .cycle_sim import _SLOT, TABLE_KINDS, CompiledNetlist
 
 #: the constant legs of :data:`MUX_LEGS`, numbered after the three ports
@@ -77,7 +81,7 @@ class BatchKernels:
     -- the nets, then a constant-0 and a constant-1 row.
     """
 
-    __slots__ = ("rows", "tables")
+    __slots__ = ("rows", "tables", "lane_rows")
 
     def __init__(self, compiled: CompiledNetlist):
         n = compiled.n_nets
@@ -109,6 +113,9 @@ class BatchKernels:
                 np.ascontiguousarray([s[[0, 0]], s[[1, 1]], d0]),
                 np.ascontiguousarray([d0, d1, d1]),
                 np.ascontiguousarray([out, out + rows], dtype=np.intp)))
+        #: the same tables packed, and bounds-checked, for the compiled
+        #: level kernel (:func:`repro.sim.native.pack_lanes`)
+        self.lane_rows = native.pack_lanes(self.tables, rows, n)
 
 
 #: per-process table cache keyed by compiled-netlist identity; a

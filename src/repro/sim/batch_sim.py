@@ -24,8 +24,15 @@ Lane lifecycle maps onto Algorithm 1 directly:
 Settling is the lane form of the serial engine's level table (see
 :mod:`repro.sim.batch_kernels`): per logic level, two gathers of every
 gate's dual-rail mux operands, three bitwise ops and one scatter
-advance every lane.  One dirty flag, set only when a bit of a live lane changes,
-makes a settle with nothing to do free.
+advance every lane.  Where the compiled level kernel
+(:mod:`repro.sim.native`) loads, one C call walks the same gates in the
+same order over the same rails buffer, converting the planes to rails
+and back inside the call and applying per-lane forces as keep and rail
+masks; another runs the clock edge's per-kind enable/reset algebra
+over :attr:`CompiledNetlist.flop_rows`.  The numpy tables run where no
+compiler works and are the reference (:attr:`BatchCycleSim.kernel`
+names the one that runs).  One dirty flag, set only when a bit of a
+live lane changes, makes a settle with nothing to do free.
 
 Per-lane state that cannot live in the bit planes -- cycle counters,
 attached :class:`~repro.sim.memory.XMemory` instances, forces,
@@ -45,12 +52,17 @@ import numpy as np
 
 from ..logic.value import Logic
 from ..logic.vector import LVec
+from . import native
 from .batch_kernels import batch_kernels_for
 from .cycle_sim import CompiledNetlist, ForcedRestoreWarning
 from .memory import XMemory
 from .planes import (CODE_DTYPE, LANE_CAPACITY, M64, LanePlanes,
                      column_bits, to_codes, to_lvec)
 from .state import SimState
+
+
+#: the compiled lane settle's force arguments when nothing is forced
+_NO_FORCES = (None, None, None, None, 0, None)
 
 
 class LaneCapacityError(RuntimeError):
@@ -103,7 +115,7 @@ class BatchCycleSim:
         #: (``val_bits``/``known_bits`` are subsets of ``lane_mask``)
         self._forces: Dict[int, List[int]] = {}
         self._force_cache: Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray, set]] = None
+                                          np.ndarray, set, tuple]] = None
         #: a live lane's bit changed since the last settle (or
         #: mark_all_dirty)
         self._dirty = True
@@ -111,6 +123,31 @@ class BatchCycleSim:
         #: ``noop_settles`` had nothing to do
         self.full_settles = 0
         self.noop_settles = 0
+        #: ``(active_mask, live lanes)``: the edge's lane list, rebuilt
+        #: only when the mask changes
+        self._live: Tuple[int, List[int]] = (0, [])
+        #: the compiled level kernel, or None: the numpy tables settle
+        self._native = native.load_kernel()
+        if self._native is not None:
+            n = compiled.n_nets
+            flops = compiled.flop_rows
+            #: the edge's staged next states; each net's force (or -1)
+            self._stage = np.empty(2 * len(flops), dtype=np.uint64)
+            self._force_index = np.full(n, -1, dtype=np.int32)
+            # raw addresses of buffers this sim, ``compiled`` and the
+            # kernels keep and never rebind
+            val, known = self.val.ctypes.data, self.known.ctypes.data
+            lanes = self.kernels.lane_rows
+            self._settle_args = (val, known, self._rails.ctypes.data, n,
+                                 self.kernels.rows, lanes.ctypes.data,
+                                 len(lanes))
+            self._edge_args = (val, known, flops.ctypes.data, len(flops),
+                               self._stage.ctypes.data)
+
+    @property
+    def kernel(self) -> str:
+        """The settle kernel that runs: ``"c"`` or ``"numpy"``."""
+        return "numpy" if self._native is None else "c"
 
     # -- lane lifecycle -----------------------------------------------------
     @property
@@ -341,12 +378,14 @@ class BatchCycleSim:
                               Logic.L1 if kind == "TIE1" else Logic.L0)
 
     def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     set]:
-        """``(nets, keep, rails, levels)`` of the active forces: ``keep``
-        clears the forced lanes' bits, ``rails`` holds the forced
-        ``(zero, one)`` rail bits, and ``levels`` are the comb levels that
-        drive a forced net.  Forces are re-asserted once after each such
-        level -- pinned before any reader level evaluates."""
+                                     set, tuple]:
+        """``(nets, keep, rails, levels, c_args)`` of the active forces:
+        ``keep`` clears the forced lanes' bits, ``rails`` holds the
+        forced ``(zero, one)`` rail bits, and ``levels`` are the comb
+        levels that drive a forced net.  Forces are re-asserted once
+        after each such level -- pinned before any reader level
+        evaluates.  ``c_args`` are the compiled settle's force
+        arguments (it applies a force as its output is written)."""
         if self._force_cache is None:
             n = len(self._forces)
             nets = np.fromiter(self._forces.keys(), dtype=np.intp,
@@ -359,13 +398,22 @@ class BatchCycleSim:
                 rails[1, i] = vbits
             levels = set(self.c.net_comb_level[nets].tolist())
             levels.discard(-1)
-            self._force_cache = (nets, keep, rails, levels)
+            c_args = ()
+            if self._native is not None:
+                native.check_forced(nets, self.c.n_nets)
+                self._force_index[:] = -1
+                self._force_index[nets] = np.arange(n, dtype=np.int32)
+                c_args = (nets.ctypes.data, keep.ctypes.data,
+                          rails[0].ctypes.data, rails[1].ctypes.data, n,
+                          self._force_index.ctypes.data)
+            self._force_cache = (nets, keep, rails, levels, c_args)
         return self._force_cache
 
     # -- settling ------------------------------------------------------------
     def settle(self) -> None:
         """Re-settle combinational logic across all lanes at once, one
-        lane level table at a time.
+        lane level table at a time (in one call of the compiled kernel
+        where it loads).
 
         Returns at once (a no-op settle) when no live lane's bit changed
         since the last settle and :meth:`mark_all_dirty` was not called.
@@ -373,13 +421,21 @@ class BatchCycleSim:
         if not self._dirty:
             self.noop_settles += 1
             return
+        if self._native is not None:
+            self._native.lane_settle(
+                *self._settle_args,
+                *(self._force_arrays()[4] if self._forces
+                  else _NO_FORCES))
+            self._dirty = False
+            self.full_settles += 1
+            return
         n = self.c.n_nets
         flat, rails = self._rails, self._rails2
         val, known = self.val, self.known
         np.bitwise_xor(known, val, out=rails[0, :n])
         rails[1, :n] = val
         if self._forces:
-            f_nets, f_keep, f_rails, f_levels = self._force_arrays()
+            f_nets, f_keep, f_rails, f_levels, _ = self._force_arrays()
             rails[:, f_nets] = (rails[:, f_nets] & f_keep) | f_rails
         else:
             f_levels = ()
@@ -400,6 +456,21 @@ class BatchCycleSim:
 
     def clock_edge(self) -> None:
         """One positive edge for every live lane (staged NBA commit)."""
+        if self._native is not None:
+            if self._native.lane_edge(*self._edge_args, self.active_mask):
+                self._dirty = True
+        else:
+            self._numpy_edge()
+        live = self._live
+        if live[0] != self.active_mask:
+            live = self._live = (self.active_mask,
+                                 list(self.active_lanes()))
+        cycles = self.lane_cycle
+        for lane in live[1]:
+            cycles[lane] += 1
+
+    def _numpy_edge(self) -> None:
+        """:meth:`clock_edge`'s planes, one flop kind at a time."""
         val, known = self.val, self.known
         active = np.uint64(self.active_mask)
         staged: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -432,8 +503,6 @@ class BatchCycleSim:
                 self._dirty = True
             val[out] = nv
             known[out] = nk
-        for lane in self.active_lanes():
-            self.lane_cycle[lane] += 1
 
     # -- activity ---------------------------------------------------------------
     def lane_arm_activity(self, lane: int) -> None:

@@ -30,6 +30,16 @@ it: an enable muxes hold against load, then a reset muxes that against
 0.  Every next state is computed before the one scatter commits them,
 which keeps the non-blocking (NBA) semantics of a real edge.
 
+Where the compiled level kernel (:mod:`repro.sim.native`) loads, settle
+and edge run the same lookups in C instead: one loop over every gate of
+:attr:`CompiledNetlist.gate_rows` in level order, and one over
+:attr:`CompiledNetlist.flop_rows` that computes every next state before
+writing any.  Forced codes are written before the loop and forced gate
+outputs skipped, which equals re-asserting the forces after every level
+that drives one.  The numpy level tables run where no compiler works,
+and are the bitwise reference the kernel is tested against;
+:attr:`CycleSim.kernel` names the one that runs.
+
 The engine supports the three paper-specific features directly:
 
 * **monitoring** -- arbitrary net lists can be read back as net codes
@@ -58,6 +68,7 @@ from ..logic.value import Logic
 from ..logic.vector import LVec
 from ..netlist.cells import LIBRARY
 from ..netlist.netlist import Netlist
+from . import native
 from .memory import XMemory
 from .planes import (CODE_0, CODE_1, CODE_DTYPE, CODE_LEVEL, CODE_X,
                      LEVEL_CODE, BoolPlanes, to_codes, to_lvec)
@@ -134,6 +145,10 @@ def _build_flop_table() -> np.ndarray:
 FLOP_TABLE = _build_flop_table()
 
 
+#: the compiled settle's force arguments when nothing is forced
+_NO_FORCES = (None, None, 0, None)
+
+
 class ForcedRestoreWarning(RuntimeWarning):
     """A snapshot was restored while forces were still active.
 
@@ -194,6 +209,9 @@ class CompiledNetlist:
     outputs and ties): forces are re-asserted after those levels.
     :attr:`flop_ports` and :attr:`flop_offset` hold every flop as one
     :data:`FLOP_TABLE` lookup (see :meth:`CycleSim.clock_edge`).
+    :attr:`gate_rows` and :attr:`flop_rows` are the same tables packed,
+    and bounds-checked, for the compiled level kernel
+    (:mod:`repro.sim.native`).
 
     Compilation is pure and the result is immutable, so instances are
     shared freely between simulators; use :func:`compile_netlist` to get
@@ -259,6 +277,11 @@ class CompiledNetlist:
         self.flop_offset = np.array(
             [FLOP_KINDS.index(g.kind) * _FLOP_SLOT for g in seq],
             dtype=CODE_DTYPE)
+        self.gate_rows = native.pack_gates(self.levels, self.n_nets,
+                                           GATE_TABLE)
+        self.flop_rows = native.pack_flops(self.flop_ports,
+                                           self.flop_offset, self.n_nets,
+                                           FLOP_TABLE, _FLOP_SLOT)
 
         # state nets: flop outputs + primary inputs (the restorable part)
         state: List[int] = [n for n in netlist.inputs]
@@ -338,7 +361,7 @@ class CycleSim:
         #: materialized lazily so N forces stay O(N), not O(N^2)
         self._forces: Dict[int, Tuple[bool, bool]] = {}
         self._force_cache: Optional[Tuple[np.ndarray, np.ndarray,
-                                          set]] = None
+                                          set, tuple]] = None
         #: a bit changed since the last settle (or mark_all_dirty)
         self._dirty = True
         #: settle counters: ``full_settles`` evaluated every level,
@@ -348,6 +371,27 @@ class CycleSim:
         self.incremental_settles = 0
         self.noop_settles = 0
         self._tie_init()
+        #: the compiled level kernel, or None: the numpy tables settle
+        self._native = native.load_kernel()
+        if self._native is not None:
+            #: scratch next states of the edge, and the forced-net mask
+            self._next = np.empty(len(compiled.flop_rows), CODE_DTYPE)
+            self._forced = np.zeros(n, dtype=np.uint8)
+            # raw addresses of buffers this sim and ``compiled`` keep
+            # and never rebind
+            code = self.code.ctypes.data
+            self._settle_args = (code, GATE_TABLE.ctypes.data,
+                                 compiled.gate_rows.ctypes.data,
+                                 len(compiled.gate_rows))
+            self._edge_args = (code, FLOP_TABLE.ctypes.data,
+                               compiled.flop_rows.ctypes.data,
+                               len(compiled.flop_rows),
+                               self._next.ctypes.data)
+
+    @property
+    def kernel(self) -> str:
+        """The settle kernel that runs: ``"c"`` or ``"numpy"``."""
+        return "numpy" if self._native is None else "c"
 
     # -- memories ------------------------------------------------------------
     def attach_memory(self, memory: XMemory) -> XMemory:
@@ -460,11 +504,12 @@ class CycleSim:
                 self.code[net] = code
                 self._dirty = True
 
-    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, set]:
-        """``(nets, codes, levels)`` of the active forces: ``levels`` are
-        the comb levels that drive a forced net.  Forces are re-asserted
-        once after each such level -- pinned before any reader level
-        evaluates."""
+    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, set, tuple]:
+        """``(nets, codes, levels, c_args)`` of the active forces:
+        ``levels`` are the comb levels that drive a forced net.  Forces
+        are re-asserted once after each such level -- pinned before any
+        reader level evaluates.  ``c_args`` are the compiled settle's
+        force arguments (it skips forced gate outputs instead)."""
         if self._force_cache is None:
             n = len(self._forces)
             nets = np.fromiter(self._forces.keys(), dtype=np.intp,
@@ -474,7 +519,14 @@ class CycleSim:
                                 dtype=CODE_DTYPE, count=n)
             levels = set(self.c.net_comb_level[nets].tolist())
             levels.discard(-1)
-            self._force_cache = (nets, codes, levels)
+            c_args = ()
+            if self._native is not None:
+                native.check_forced(nets, self.c.n_nets)
+                self._forced[:] = 0
+                self._forced[nets] = 1
+                c_args = (nets.ctypes.data, codes.ctypes.data, n,
+                          self._forced.ctypes.data)
+            self._force_cache = (nets, codes, levels, c_args)
         return self._force_cache
 
     # lazily-materialized view, part of the (test-visible) interface
@@ -488,7 +540,8 @@ class CycleSim:
             self.code[out] = CODE_1 if kind == "TIE1" else CODE_0
 
     def settle(self) -> None:
-        """Re-settle combinational logic, one level table at a time.
+        """Re-settle combinational logic, one level table at a time (in
+        one call of the compiled kernel where it loads).
 
         Returns at once (a no-op settle) when no bit changed since the
         last settle and :meth:`mark_all_dirty` was not called.
@@ -496,10 +549,18 @@ class CycleSim:
         if not self._dirty:
             self.noop_settles += 1
             return
+        if self._native is not None:
+            self._native.serial_settle(
+                *self._settle_args,
+                *(self._force_arrays()[3] if self._forces
+                  else _NO_FORCES))
+            self._dirty = False
+            self.full_settles += 1
+            return
         code = self.code
         weights, lookup = _WEIGHTS, GATE_TABLE.take
         if self._forces:
-            f_nets, f_codes, f_levels = self._force_arrays()
+            f_nets, f_codes, f_levels, _ = self._force_arrays()
             code[f_nets] = f_codes
         else:
             f_levels = ()
@@ -520,6 +581,11 @@ class CycleSim:
         equivalent of the event kernel's NBA region), so a flop chained
         directly to another flop's output samples its pre-edge value.
         """
+        if self._native is not None:
+            if self._native.serial_edge(*self._edge_args):
+                self._dirty = True
+            self.cycle += 1
+            return
         ports = self.c.flop_ports
         codes = self.code[ports]
         index = _FLOP_WEIGHTS @ codes
