@@ -302,9 +302,12 @@ def test_batch_engine_replay_speedup(benchmark):
     ``CYCLES_BIG`` cycles as one lockstep 64-lane batched run, requires
     bit-identical final planes on every lane, and demands a
     >= BATCH_MIN_SPEEDUP win over the serial engine replaying the same
-    states one at a time.  The entry -- with the compaction counters of
-    a real batched co-analysis -- lands in the BENCH_engines.json
-    trajectory.
+    states one at a time.  The batched time is the lane set-up (the
+    plane, 64 ``alloc_lane`` + ``lane_restore``) plus the lockstep
+    window; both are reported apart, with the window's full and no-op
+    settle counts, because the set-up can outweigh the cycles.  The
+    entry -- with the compaction counters of a real batched co-analysis
+    -- lands in the BENCH_engines.json trajectory.
     """
     from repro.coanalysis.batch_executor import BatchSegmentExecutor
     from repro.coanalysis.kernel import ExplorationKernel
@@ -321,7 +324,7 @@ def test_batch_engine_replay_speedup(benchmark):
             for _ in range(CYCLES_BIG):
                 serial.step()
 
-    def batch_round():
+    def batch_setup():
         batch = BatchCycleSim(compiled, record_activity=False)
         lanes = []
         for _ in range(LANE_CAPACITY):
@@ -330,10 +333,17 @@ def test_batch_engine_replay_speedup(benchmark):
             # memory buses) -- restore alone is the whole induction
             batch.lane_restore(lane, snap, settle=False)
             lanes.append(lane)
+        return batch, lanes
+
+    def lockstep(batch):
         for _ in range(CYCLES_BIG):
             batch.settle()
             batch.clock_edge()
         batch.settle()
+
+    def batch_round():
+        batch, lanes = batch_setup()
+        lockstep(batch)
         return batch, lanes
 
     benchmark.pedantic(batch_round, rounds=3, iterations=1,
@@ -345,8 +355,15 @@ def test_batch_engine_replay_speedup(benchmark):
     serial.settle()
 
     t0 = time.perf_counter()
-    batch, lanes = batch_round()
-    t_batch_ms = (time.perf_counter() - t0) * 1000
+    batch, lanes = batch_setup()
+    t1 = time.perf_counter()
+    settles = batch.full_settles, batch.noop_settles
+    lockstep(batch)
+    t2 = time.perf_counter()
+    setup_ms, lockstep_ms = (t1 - t0) * 1000, (t2 - t1) * 1000
+    t_batch_ms = setup_ms + lockstep_ms
+    full_settles = batch.full_settles - settles[0]
+    noop_settles = batch.noop_settles - settles[1]
 
     # equal results: every lane's final planes match the serial engine's
     for lane in lanes:
@@ -359,7 +376,10 @@ def test_batch_engine_replay_speedup(benchmark):
     print(f"\n  batched replay ({LANE_CAPACITY} lanes x {CYCLES_BIG} "
           f"cycles, {batch.kernel} kernel): serial {serial_ms:.1f} ms, "
           f"batch {t_batch_ms:.1f} ms -> {speedup:.1f}x, "
-          f"{throughput:.0f} lane-cycles/ms")
+          f"{throughput:.0f} lane-cycles/ms"
+          f"\n  batch = lane set-up {setup_ms:.2f} ms + lockstep "
+          f"{lockstep_ms:.2f} ms ({full_settles} full / {noop_settles} "
+          f"no-op settles)")
 
     # compaction accounting from a real batched co-analysis (the replay
     # loop above never retires a lane): capping live occupancy below
@@ -381,6 +401,10 @@ def test_batch_engine_replay_speedup(benchmark):
         "cycles": CYCLES_BIG,
         "serial_ms": round(serial_ms, 2),
         "batch_ms": round(t_batch_ms, 2),
+        "setup_ms": round(setup_ms, 2),
+        "lockstep_ms": round(lockstep_ms, 2),
+        "full_settles": full_settles,
+        "noop_settles": noop_settles,
         "speedup": round(speedup, 2),
         "lane_cycles_per_ms": round(throughput, 1),
         "coanalysis": {

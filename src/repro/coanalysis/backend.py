@@ -23,6 +23,12 @@ expression on every engine -- the event engine included: its settle
 drains every event region of the time step, the Symbolic region last,
 before the check reads the monitored signals, so the check sees what
 the paper's ``$monitor_x`` task sees.
+
+Activity flows one way.  Each backend reports the toggle/X planes of
+the segment it just simulated in :attr:`SegmentResult.activity`, and
+the kernel alone folds them into the run's profile, in batch order --
+live, replayed from the segment cache, or restored from a checkpoint
+alike.  A backend keeps no activity of its own between segments.
 """
 
 from __future__ import annotations
@@ -54,12 +60,11 @@ class SegmentResult:
     end_pc: Optional[int]
     cycles: int
     end_state: Optional[SimState] = None    # snapshot at a halt
-    exercised: Optional[object] = None      # per-segment exercised nets
-    #: per-segment activity planes ``(toggled, ever_x, val&known,
-    #: known)``, attached when the executor runs in capture mode (the
-    #: segment cache is on).  The kernel then owns profile absorption,
-    #: in batch order, so a cached replay folds the exact same planes in
-    #: the exact same order as the run that recorded them.
+    #: this segment's own activity planes ``(toggled, ever_x,
+    #: val&known, known)``, always set by the backend.  The kernel folds
+    #: them into the profile in batch order, so a cached replay folds
+    #: the exact planes, in the exact order, of the run that recorded
+    #: them.
     activity: Optional[tuple] = None
 
 
@@ -101,13 +106,6 @@ class SimBackend:
     netlist = None
     batch_limit: Optional[int] = 1
     settle_kernel: Optional[str] = None
-    #: set by the kernel when a segment cache is active: the backend
-    #: must attach per-segment planes to ``SegmentResult.activity``
-    #: instead of absorbing them into the profile itself
-    capture_activity: bool = False
-
-    def bind(self, result) -> None:
-        """Give the backend the live result (journal, profile)."""
 
     def prepare(self) -> SimState:
         """Reset, load, apply symbolic inputs; return the initial state."""
@@ -138,19 +136,8 @@ class SimBackend:
         """Simulate one path to its boundary (default run_batch hook)."""
         raise NotImplementedError
 
-    def activity_snapshot(self) -> dict:
-        """Toggle/X planes for the checkpoint payload."""
-        raise NotImplementedError
-
-    def activity_restore(self, planes: dict) -> None:
-        """Apply checkpointed planes (raise ``ValueError`` on misfit)."""
-        raise NotImplementedError
-
     def finalize(self, result) -> None:
-        """Fold accumulated activity into ``result.profile``."""
-
-    def close(self) -> None:
-        """Release sims/files; called exactly once, even on error."""
+        """Stamp engine-specific statistics on the finished result."""
 
 
 def boundary_outcome(target, sim) -> Optional[str]:
@@ -180,8 +167,8 @@ def simulate_segment(target, sim, path: PendingPath, path_id: int,
     decision as a one-cycle force, then advances cycle by cycle:
     drive to fixpoint, boundary checks (skipped on the forced first
     cycle), budget check, activity record, observer hook, clock edge.
-    Activity arming/parking is the caller's concern -- this function
-    only runs the loop.
+    Arming and collecting the activity planes is the caller's concern
+    -- this function only runs the loop.
     """
     sim.restore(path.state)
 
@@ -231,22 +218,3 @@ def prepare_initial_state(target, sim) -> SimState:
     target.drive_all(sim)
     return sim.snapshot(pc=target.current_pc(sim))
 
-
-def profile_activity_snapshot(result) -> dict:
-    """Checkpoint planes for backends that absorb at retirement (their
-    accumulated activity lives in ``result.profile``, not in a sim)."""
-    profile = result.profile
-    return {"repr": "profile",
-            "toggled": profile.toggled.copy(),
-            "ever_x": profile.ever_x.copy(),
-            "val": profile.const_val.copy(),
-            "known": profile.const_known.copy()}
-
-
-def profile_activity_restore(result, planes: dict) -> None:
-    """Inverse of :func:`profile_activity_snapshot`."""
-    profile = result.profile
-    profile.toggled[:] = planes["toggled"]
-    profile.ever_x[:] = planes["ever_x"]
-    profile.const_val[:] = planes["val"]
-    profile.const_known[:] = planes["known"]

@@ -44,6 +44,10 @@ the serial engine: the total-cycle budget is folded into each lane's
 allowance at induction and decremented at retirement, because
 lockstep lanes share wall-clock cycles; strict runs raise on any
 budget exhaustion either way.
+
+A retiring lane hands its segment's toggle/X and value planes back in
+``SegmentResult.activity`` and is cleared; the kernel folds them into
+the profile in batch order, not retirement order, as on every engine.
 """
 
 from __future__ import annotations
@@ -55,8 +59,7 @@ from ..logic.value import Logic
 from ..sim.batch_sim import LANE_CAPACITY, BatchCycleSim, LaneView
 from ..sim.state import SimState
 from .backend import (BatchContext, PendingPath, SegmentResult, SimBackend,
-                      boundary_outcome, prepare_initial_state,
-                      profile_activity_restore, profile_activity_snapshot)
+                      boundary_outcome, prepare_initial_state)
 from .results import CoAnalysisResult
 from .target import SymbolicTarget
 
@@ -116,7 +119,6 @@ class BatchSegmentExecutor(SimBackend):
 
     def __init__(self, target: SymbolicTarget,
                  cycle_observer=None,
-                 record_per_path_activity: bool = False,
                  max_lanes: int = LANE_CAPACITY,
                  stats: Optional[BatchRunStats] = None):
         if not 1 <= max_lanes <= LANE_CAPACITY:
@@ -125,18 +127,13 @@ class BatchSegmentExecutor(SimBackend):
         self.netlist = target.netlist
         self.design = target.name
         self.cycle_observer = cycle_observer
-        self.record_per_path_activity = record_per_path_activity
         #: live-occupancy cap within the plane's 64 lanes
         self.max_lanes = max_lanes
         self.stats = stats or BatchRunStats()
         self.sim: Optional[BatchCycleSim] = None
-        self._result: Optional[CoAnalysisResult] = None
         self._last_batch: Dict[str, int] = {}
 
     # -- protocol -----------------------------------------------------------
-    def bind(self, result: CoAnalysisResult) -> None:
-        self._result = result
-
     def prepare(self) -> SimState:
         target = self.target
         self.sim = BatchCycleSim(target.compiled)
@@ -151,24 +148,15 @@ class BatchSegmentExecutor(SimBackend):
 
     def run_batch(self, batch: List[PendingPath],
                   ctx: BatchContext) -> List[SegmentResult]:
-        segments = self._run_streaming(batch, ctx.first_path_id,
-                                       ctx.max_cycles_per_path,
-                                       ctx.total_cycles_remaining)
-        return segments
-
-    def activity_snapshot(self) -> dict:
-        return profile_activity_snapshot(self._result)
-
-    def activity_restore(self, planes: dict) -> None:
-        profile_activity_restore(self._result, planes)
+        return self._run_streaming(batch, ctx.first_path_id,
+                                   ctx.max_cycles_per_path,
+                                   ctx.total_cycles_remaining)
 
     def batch_stats(self) -> Dict[str, int]:
         """Lane accounting the kernel folds into each batch trace event."""
         return dict(self._last_batch)
 
     def finalize(self, result: CoAnalysisResult) -> None:
-        # per-segment activity was absorbed into the profile at lane
-        # retirement; nothing left to fold in here
         result.batch_stats = self.stats
 
     # -- one streaming batch ------------------------------------------------
@@ -295,24 +283,12 @@ class BatchSegmentExecutor(SimBackend):
     def _retire(self, lane: int, outcome: str, end_pc: Optional[int],
                 cycles: int,
                 end_state: Optional[SimState] = None) -> SegmentResult:
-        """Fold a finished lane's activity into the profile and free it."""
+        """Free a finished lane, reporting its segment's activity."""
         sim = self.sim
-        toggled, ever_x = sim.lane_activity(lane)
         val, known = sim.lane_planes(lane)
-        activity = None
-        if self.capture_activity:
-            # the kernel absorbs in batch order (cache replay contract);
-            # copy -- the lane arrays are views reused after drop_lane
-            activity = (toggled.copy(), ever_x.copy(),
-                        (val & known).copy(), known.copy())
-        else:
-            self._result.profile.absorb(toggled, ever_x,
-                                        val & known, known)
-        exercised = (toggled | ever_x) \
-            if self.record_per_path_activity else None
+        activity = (*sim.lane_activity(lane), val & known, known)
         sim.lane_reset_activity(lane)
         sim.drop_lane(lane)
         self.stats.segments += 1
         self.stats.lane_cycles += cycles
-        return SegmentResult(outcome, end_pc, cycles, end_state,
-                             exercised, activity)
+        return SegmentResult(outcome, end_pc, cycles, end_state, activity)

@@ -106,12 +106,10 @@ class CoAnalysisEngine:
         if self.backend == "batch":
             from .batch_executor import BatchSegmentExecutor
             executor = BatchSegmentExecutor(
-                self.target, cycle_observer=self.cycle_observer,
-                record_per_path_activity=self.record_per_path_activity)
+                self.target, cycle_observer=self.cycle_observer)
         else:
             executor = SerialExecutor(
                 self.target, cycle_observer=self.cycle_observer,
-                record_per_path_activity=self.record_per_path_activity,
                 backend=self.backend)
         kernel = ExplorationKernel(
             executor, csm=self.csm, frontier=self.frontier,
@@ -120,5 +118,6 @@ class CoAnalysisEngine:
             max_paths=self.max_paths, strict=self.strict,
             application=self.application, checkpoint=self.checkpoint,
             resume=self.resume, tracer=self.tracer,
-            budget=self.budget, segment_cache=self.segment_cache)
+            budget=self.budget, segment_cache=self.segment_cache,
+            record_per_path_activity=self.record_per_path_activity)
         return kernel.run()

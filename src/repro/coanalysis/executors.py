@@ -14,7 +14,10 @@ of simulating a path segment:
   :mod:`repro.coanalysis.batch_executor`.
 
 The executor owns *how* a segment simulates; halting policy, CSM
-merging, forking, budgets and checkpoints all live in the kernel.
+merging, forking, budgets, checkpoints and the toggle profile all live
+in the kernel.  Each segment starts from cleared toggle/X planes and
+hands them back in ``SegmentResult.activity``, so the simulator carries
+no activity from one segment to the next.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class SerialExecutor(SimBackend):
 
     def __init__(self, target: SymbolicTarget,
                  cycle_observer=None,
-                 record_per_path_activity: bool = False,
                  backend: str = "cycle"):
         if backend not in ("cycle", "event"):
             raise ValueError(f"unknown backend {backend!r}; "
@@ -55,9 +57,6 @@ class SerialExecutor(SimBackend):
         #: settled cycle of every explored path -- the hook used by the
         #: peak-power analysis and by waveform dumping
         self.cycle_observer = cycle_observer
-        #: when True, each segment reports its own exercised-net array
-        #: (feeds result.per_path_exercised / the power-gating analysis)
-        self.record_per_path_activity = record_per_path_activity
         self.sim = None
 
     # -- protocol -----------------------------------------------------------
@@ -76,66 +75,23 @@ class SerialExecutor(SimBackend):
         sim.arm_activity()
         return state
 
-    def activity_snapshot(self) -> dict:
-        sim = self.sim
-        return {"repr": "sim",
-                "toggled": sim.toggled.copy(),
-                "ever_x": sim.ever_x.copy(),
-                "val": np.array(sim.val, copy=True),
-                "known": np.array(sim.known, copy=True)}
-
-    def activity_restore(self, planes: dict) -> None:
-        sim = self.sim
-        sim.toggled[:] = planes["toggled"]
-        sim.ever_x[:] = planes["ever_x"]
-        if hasattr(sim, "load_value_planes"):
-            sim.load_value_planes(planes["val"], planes["known"])
-        else:
-            sim.val[:] = planes["val"]
-            sim.known[:] = planes["known"]
-            # the bulk plane write bypassed per-net dirty tracking
-            sim.mark_all_dirty()
-
     def finalize(self, result) -> None:
-        sim = self.sim
-        if not self.capture_activity:
-            # under a segment cache the kernel absorbs per-segment
-            # activity itself, in batch order (see SegmentResult.activity)
-            val = np.asarray(sim.val)
-            known = np.asarray(sim.known)
-            result.profile.absorb(sim.toggled, sim.ever_x,
-                                  val & known, known)
-        if isinstance(sim, EventSimBridge):
-            result.events_executed = sim.es.scheduler.events_executed
+        if isinstance(self.sim, EventSimBridge):
+            result.events_executed = self.sim.es.scheduler.events_executed
 
     # -- one execution path -------------------------------------------------
     def run_segment(self, path: PendingPath, path_id: int,
                     per_path: int,
                     total_remaining: Optional[int]) -> SegmentResult:
         sim = self.sim
-        parked = None
-        if self.record_per_path_activity or self.capture_activity:
-            # true per-segment sets: park the global union, collect this
-            # segment in cleared arrays, then re-merge
-            parked = (sim.toggled.copy(), sim.ever_x.copy())
-            sim.toggled[:] = False
-            sim.ever_x[:] = False
-        try:
-            segment = simulate_segment(self.target, sim, path, path_id,
-                                       per_path, total_remaining,
-                                       self.cycle_observer)
-            if parked is not None and self.record_per_path_activity:
-                segment.exercised = sim.exercised_nets()
-            if self.capture_activity:
-                val = np.asarray(sim.val)
-                known = np.asarray(sim.known)
-                segment.activity = (sim.toggled.copy(), sim.ever_x.copy(),
-                                    val & known, np.array(known, copy=True))
-            return segment
-        finally:
-            if parked is not None:
-                sim.toggled |= parked[0]
-                sim.ever_x |= parked[1]
+        sim.toggled[:] = False
+        sim.ever_x[:] = False
+        segment = simulate_segment(self.target, sim, path, path_id,
+                                   per_path, total_remaining,
+                                   self.cycle_observer)
+        segment.activity = (sim.toggled.copy(), sim.ever_x.copy(),
+                            *sim.value_planes())
+        return segment
 
 
 class EventSimBridge:
@@ -231,8 +187,13 @@ class EventSimBridge:
                             for v in self.es.values),
                            dtype=bool, count=len(self.es.values))
 
+    def value_planes(self):
+        """``(val & known, known)`` of every net, as fresh arrays (the
+        derived ``val`` is already masked: only a known net reads 1)."""
+        return self.val, self.known
+
     def load_value_planes(self, val, known) -> None:
-        """Checkpoint restore: write full net planes back (the bridge's
+        """Write full net planes back and re-settle (the bridge's
         ``val``/``known`` are derived views, not writable arrays)."""
         if len(val) != len(self.es.values):
             raise ValueError("value planes do not fit this netlist")
@@ -338,11 +299,3 @@ class EventSimBridge:
             if value is not prev[net] and value != prev[net]:
                 toggled[net] = True
         self._prev = list(self.es.values)
-
-    def exercised_nets(self) -> np.ndarray:
-        return self.toggled | self.ever_x
-
-    def reset_activity(self) -> None:
-        self.toggled[:] = False
-        self.ever_x[:] = False
-        self._armed = False

@@ -8,6 +8,11 @@ differs.  :class:`ExplorationKernel` owns everything else:
 * the frontier of pending paths (a pluggable
   :class:`~repro.coanalysis.frontier.FrontierStrategy`);
 * CSM merge decisions and forking (both branch outcomes pushed);
+* the toggle profile (Algorithm 1 lines 24 and 29-43): every segment's
+  activity planes -- simulated, replayed from the segment cache, or
+  restored from a checkpoint -- are folded here and nowhere else, in
+  batch order, and the per-path exercised arrays are derived from the
+  same planes when the run asks for them;
 * per-path and total cycle budgets;
 * checkpoint/resume through the one versioned payload codec in
   :mod:`repro.resilience.checkpoint`;
@@ -19,10 +24,10 @@ differs.  :class:`ExplorationKernel` owns everything else:
   final checkpoint, never a mid-flight exception.
 
 Backends plug in through the :class:`~repro.coanalysis.backend.SimBackend`
-protocol: ``prepare()`` builds the reset+symbolic initial state,
+protocol: ``prepare()`` builds the reset+symbolic initial state, and
 ``run_batch()`` simulates pending paths up to their halt/done/budget
-boundary, and the activity hooks round-trip toggle planes for
-checkpointing.  A backend never touches the CSM or the frontier --
+boundary, reporting each segment's own activity planes.  A backend
+never touches the CSM, the frontier or the profile --
 that is the point of the extraction: every scaling or resilience
 feature lands in this file once, not three times.  The shared segment
 loop backends build on lives in :mod:`repro.coanalysis.backend`.
@@ -33,6 +38,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from typing import Optional
+
+import numpy as np
 
 from ..resilience.checkpoint import (as_checkpointer, decode_run_payload,
                                      encode_run_payload)
@@ -64,7 +71,8 @@ class ExplorationKernel:
                  resume: bool = False,
                  tracer=None,
                  budget=None,
-                 segment_cache=None):
+                 segment_cache=None,
+                 record_per_path_activity: bool = False):
         from ..csm.manager import ConservativeStateManager
         from .frontier import make_frontier
         from .trace import Tracer
@@ -81,12 +89,12 @@ class ExplorationKernel:
         self.tracer = tracer if tracer is not None else Tracer()
         self.governor = as_governor(budget)
         #: optional :class:`~repro.store.segments.SegmentResultCache`:
-        #: settled segments are replayed instead of re-simulated.  The
-        #: executor switches to capture mode so the kernel owns profile
-        #: absorption (cached and live segments fold in identically).
+        #: settled segments are replayed instead of re-simulated, and
+        #: fold into the profile exactly as live ones do
         self.segment_cache = segment_cache
-        if segment_cache is not None:
-            executor.capture_activity = True
+        #: when True, each PathRecord gains its segment's exercised-net
+        #: array (``toggled | ever_x``) in ``result.per_path_exercised``
+        self.record_per_path_activity = record_per_path_activity
         self.batches_done = 0
         self._stop = None               # StopRequest once governed-stopped
 
@@ -102,7 +110,6 @@ class ExplorationKernel:
         result = CoAnalysisResult(
             design=executor.design, application=self.application,
             profile=ToggleProfile.empty(executor.netlist))
-        executor.bind(result)
         t0 = time.perf_counter()
 
         payload = None
@@ -164,7 +171,6 @@ class ExplorationKernel:
                     self.segment_cache.flush()
                 except Exception:
                     pass
-            executor.close()
             tracer.close()
 
     def _explore(self, result: CoAnalysisResult) -> None:
@@ -219,7 +225,7 @@ class ExplorationKernel:
             if cache is not None:
                 # splice memoized segments back into batch order, store
                 # the freshly simulated ones, and account hits/misses --
-                # absorption below then runs in the same order a fully
+                # the fold below then runs in the same order a fully
                 # live run would use, so the profile is bit-identical
                 live = iter(segments)
                 segments = []
@@ -271,9 +277,7 @@ class ExplorationKernel:
         tracer = self.tracer
         path_id = len(result.path_records)
         result.simulated_cycles += segment.cycles
-        if segment.activity is not None:
-            # capture mode: the executor left absorption to the kernel
-            result.profile.absorb(*segment.activity)
+        result.profile.absorb(*segment.activity)
         outcome = segment.outcome
         if outcome == "budget":
             result.truncated_paths += 1
@@ -320,14 +324,16 @@ class ExplorationKernel:
         result.path_records.append(PathRecord(
             path_id, path.state.pc, segment.end_pc, segment.cycles,
             outcome, path.forced_decision, path.parent))
-        if segment.exercised is not None:
-            result.per_path_exercised.append(segment.exercised)
+        if self.record_per_path_activity:
+            toggled, ever_x = segment.activity[:2]
+            result.per_path_exercised.append(toggled | ever_x)
         tracer.emit("segment_end", path_id=path_id, pc=segment.end_pc,
                     cycles=segment.cycles, outcome=outcome,
                     frontier=len(self.frontier))
 
     # -- checkpoint plumbing ------------------------------------------------
     def _write_checkpoint(self, result: CoAnalysisResult) -> None:
+        profile = result.profile
         payload = encode_run_payload(
             engine=self.executor.kind,
             design=result.design,
@@ -338,7 +344,11 @@ class ExplorationKernel:
             strategy=self.frontier.name,
             strategy_meta=self.frontier.snapshot_meta(),
             csm=self.csm.snapshot_state(),
-            activity=self.executor.activity_snapshot(),
+            activity={"repr": "profile",
+                      "toggled": profile.toggled.copy(),
+                      "ever_x": profile.ever_x.copy(),
+                      "val": profile.const_val.copy(),
+                      "known": profile.const_known.copy()},
             counters={"paths_created": result.paths_created,
                       "paths_skipped": result.paths_skipped,
                       "splits": result.splits,
@@ -377,25 +387,22 @@ class ExplorationKernel:
                 f"{payload['design']}/{payload['application']}, not "
                 f"{result.design}/{self.application}")
         self.csm.restore_state(payload["csm"])
-        try:
-            self.executor.activity_restore(payload["activity"])
-        except ValueError as exc:
+        # fold the checkpointed planes into the empty profile.  A
+        # "profile" payload is the kernel's own fold so far; a "sim"
+        # payload (written by the serial and event engines before the
+        # kernel owned the profile) is a simulator's accumulated planes,
+        # whose raw ``val`` may carry bits under an X -- the mask makes
+        # both the same fold
+        planes = payload["activity"]
+        toggled, ever_x, val, known = (
+            np.asarray(planes[key], dtype=bool)
+            for key in ("toggled", "ever_x", "val", "known"))
+        shape = result.profile.toggled.shape
+        if any(plane.shape != shape
+               for plane in (toggled, ever_x, val, known)):
             raise ResumeMismatch(
-                f"checkpoint activity arrays do not fit this netlist: "
-                f"{exc}") from exc
-        if self.segment_cache is not None \
-                and payload["activity"].get("repr") == "sim":
-            # capture mode skips finalize()'s sim-plane absorption (the
-            # kernel folds per-segment activity instead), so activity
-            # restored into the *sim* would otherwise never reach the
-            # profile: fold it in now, before any new segment does
-            import numpy as np
-            planes = payload["activity"]
-            val = np.asarray(planes["val"])
-            known = np.asarray(planes["known"])
-            result.profile.absorb(np.asarray(planes["toggled"]),
-                                  np.asarray(planes["ever_x"]),
-                                  val & known, known)
+                "checkpoint activity arrays do not fit this netlist")
+        result.profile.absorb(toggled, ever_x, val & known, known)
         counters = dict(payload["counters"])
         self.batches_done = counters.pop("batches_done", 0)
         for key, value in counters.items():

@@ -311,7 +311,13 @@ class BatchCycleSim:
 
     # -- forcing ------------------------------------------------------------
     def lane_force(self, lane: int, net: int, value: Logic) -> None:
-        """Pin ``net`` to ``value`` in one lane only (path steering)."""
+        """Pin ``net`` to ``value`` in one lane only (path steering).
+
+        A net outside ``[0, n_nets)`` raises ``IndexError`` and changes
+        nothing."""
+        if not 0 <= net < self.c.n_nets:
+            raise IndexError(f"forced net {net} outside "
+                             f"[0, {self.c.n_nets})")
         bit = 1 << lane
         v = value is Logic.L1
         k = value.is_known
@@ -400,7 +406,6 @@ class BatchCycleSim:
             levels.discard(-1)
             c_args = ()
             if self._native is not None:
-                native.check_forced(nets, self.c.n_nets)
                 self._force_index[:] = -1
                 self._force_index[nets] = np.arange(n, dtype=np.int32)
                 c_args = (nets.ctypes.data, keep.ctypes.data,

@@ -454,9 +454,9 @@ class CycleSim:
     def mark_all_dirty(self) -> None:
         """Make the next settle evaluate every level.
 
-        Call after writing :attr:`val` / :attr:`known` directly (e.g.
-        restoring checkpointed planes) -- bulk writes bypass the dirty
-        flag that lets an unchanged settle return at once."""
+        Call after writing :attr:`val` / :attr:`known` directly -- bulk
+        writes bypass the dirty flag that lets an unchanged settle
+        return at once."""
         self._dirty = True
 
     # -- forcing ------------------------------------------------------------
@@ -466,8 +466,12 @@ class CycleSim:
         While forced, the net ignores :meth:`set_net`; after release it
         keeps the forced value until re-driven (by its comb driver at
         the next settle, by a flop at the next edge, or by a new
-        ``set_net``).
+        ``set_net``).  A net outside ``[0, n_nets)`` raises
+        ``IndexError`` and changes nothing.
         """
+        if not 0 <= net < self.c.n_nets:
+            raise IndexError(f"forced net {net} outside "
+                             f"[0, {self.c.n_nets})")
         self._forces[net] = (value is Logic.L1, value.is_known)
         self._force_cache = None
         if self.code[net] != LEVEL_CODE[value]:
@@ -521,7 +525,6 @@ class CycleSim:
             levels.discard(-1)
             c_args = ()
             if self._native is not None:
-                native.check_forced(nets, self.c.n_nets)
                 self._forced[:] = 0
                 self._forced[nets] = 1
                 c_args = (nets.ctypes.data, codes.ctypes.data, n,
@@ -612,6 +615,10 @@ class CycleSim:
     def exercised_nets(self) -> np.ndarray:
         """Boolean per-net array: net toggled or was ever X."""
         return self.toggled | self.ever_x
+
+    def value_planes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(val & known, known)`` of every net, as fresh arrays."""
+        return self.code == CODE_1, self.code >= CODE_0
 
     def reset_activity(self) -> None:
         self.toggled[:] = False

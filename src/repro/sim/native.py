@@ -293,8 +293,3 @@ def pack_lanes(tables, rows: int, n_nets: int) -> np.ndarray:
                                 "lane rail positions"),
                        ([6], n_nets, "lane outputs"))
 
-
-def check_forced(nets: np.ndarray, n_nets: int) -> None:
-    """Reject forced ``nets`` unless each is a net of the plane."""
-    if len(nets) and (nets.min() < 0 or nets.max() >= n_nets):
-        raise IndexError(f"forced net outside [0, {n_nets})")

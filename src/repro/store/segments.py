@@ -82,8 +82,9 @@ class SegmentResultCache:
             return None
         try:
             record = pickle.loads(self._store.get_bytes(digest))
-            outcome, end_pc, cycles, state_bytes, exercised, activity = \
-                record
+            # older writers filled the fifth field with per-path
+            # exercised nets; the kernel derives those from ``activity``
+            outcome, end_pc, cycles, state_bytes, _, activity = record
             if outcome not in _CACHEABLE or activity is None:
                 raise ValueError(f"unreplayable record ({outcome})")
             end_state = SimState.from_bytes(state_bytes) \
@@ -94,8 +95,7 @@ class SegmentResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        return SegmentResult(outcome, end_pc, cycles, end_state,
-                             exercised, activity)
+        return SegmentResult(outcome, end_pc, cycles, end_state, activity)
 
     def store(self, key: str, segment) -> bool:
         """Memoize one settled segment; returns True when recorded."""
@@ -104,7 +104,7 @@ class SegmentResultCache:
         record = (segment.outcome, segment.end_pc, segment.cycles,
                   segment.end_state.to_bytes()
                   if segment.end_state is not None else None,
-                  segment.exercised, segment.activity)
+                  None, segment.activity)
         digest = self.store_blob(pickle.dumps(
             record, protocol=pickle.HIGHEST_PROTOCOL))
         self._index[key] = digest

@@ -4,10 +4,13 @@ Before the kernel extraction the serial engine had a private checkpoint
 payload shape; those journals exist on disk in the wild, so
 :func:`decode_run_payload` must keep upgrading them.  Later v2 payloads
 carried a poison-segment ``quarantine`` snapshot and a
-``quarantined_paths`` counter; those must resume too.  Each test
-manufactures a faithful old-format journal by converting a real v2
-payload, resumes it through the kernel, and checks the run completes
-with the same answer as an uninterrupted one.
+``quarantined_paths`` counter; those must resume too.  Until the kernel
+owned the toggle profile, the serial and event engines checkpointed
+their simulator's planes (``"repr": "sim"``) instead of the profile;
+those resume through the same fold.  Each test manufactures a faithful
+old-format journal by converting a real v2 payload, resumes it through
+the kernel, and checks the run completes with the same answer as an
+uninterrupted one.
 
 Journals written by the removed worker-pool engine (tag ``"parallel"``)
 must be refused with the kernel's engine-mismatch error, never resumed
@@ -22,7 +25,10 @@ from repro.coanalysis.results import PartialResult, ResumeMismatch
 from repro.reporting.runner import run_one
 from repro.resilience.checkpoint import Checkpointer, load_checkpoint
 from repro.resilience.governor import RunBudget
+from repro.store import ContentStore, SegmentResultCache
 from repro.workloads import WORKLOADS, build_target
+
+PLANES = ("toggled", "ever_x", "const_val", "const_known")
 
 
 def _engine(**kw):
@@ -49,6 +55,16 @@ def _journal(tmp_path, name, payload):
     return str(path)
 
 
+def _sim_activity(v2):
+    """The activity planes the serial and event engines checkpointed
+    before the kernel owned the profile, built from a live payload's
+    profile planes: their simulator had recorded the toggle and X union
+    of every segment so far, and held the last segment's value planes
+    -- the profile's constant planes."""
+    assert v2["activity"]["repr"] == "profile"
+    return dict(v2["activity"], repr="sim")
+
+
 def test_precodec_serial_journal_resumes(tmp_path):
     v2 = _stopped_payload(tmp_path)
 
@@ -60,7 +76,7 @@ def test_precodec_serial_journal_resumes(tmp_path):
         "stack": [(blob, forced, depth, parent)
                   for blob, forced, depth, parent, _ in v2["frontier"]],
         "csm": v2["csm"],
-        "activity": {k: v for k, v in v2["activity"].items()
+        "activity": {k: v for k, v in _sim_activity(v2).items()
                      if k != "repr"},
         "counters": {k: v for k, v in v2["counters"].items()
                      if k != "batches_done"},
@@ -79,6 +95,42 @@ def test_precodec_serial_journal_resumes(tmp_path):
     # tail of the same exploration
     assert resumed.paths_created == baseline.paths_created
     assert resumed.simulated_cycles == baseline.simulated_cycles
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["uncached", "cached"])
+@pytest.mark.parametrize("backend", ["cycle", "event"])
+def test_v2_sim_checkpoint_resumes_bit_identical(tmp_path, backend,
+                                                 cached):
+    """A v2 ``"repr": "sim"`` checkpoint, as the serial and the event
+    engine wrote it, resumes -- with or without a segment cache -- to
+    the uninterrupted run's profile, plane for plane."""
+    v2 = _stopped_payload(tmp_path, backend=backend)
+    path = _journal(tmp_path, "sim.ckpt",
+                    dict(v2, activity=_sim_activity(v2)))
+    cache = SegmentResultCache(ContentStore(tmp_path / "store"), "sim") \
+        if cached else None
+    resumed = _engine(backend=backend, checkpoint=path, resume=True,
+                      segment_cache=cache).run()
+    assert resumed.complete and resumed.resumed
+
+    baseline = _engine(backend=backend).run()
+    for plane in PLANES:
+        assert (getattr(resumed.profile, plane)
+                == getattr(baseline.profile, plane)).all(), plane
+    assert resumed.paths_created == baseline.paths_created
+    assert resumed.simulated_cycles == baseline.simulated_cycles
+
+
+def test_checkpoint_planes_that_do_not_fit_are_refused(tmp_path):
+    """A plane of the wrong length ends the resume with ResumeMismatch,
+    even a one-net plane that numpy would broadcast across the
+    profile."""
+    v2 = _stopped_payload(tmp_path)
+    planes = dict(_sim_activity(v2), toggled=v2["activity"]["toggled"][:1])
+    path = _journal(tmp_path, "misfit.ckpt", dict(v2, activity=planes))
+    with pytest.raises(ResumeMismatch, match="do not fit"):
+        _engine(checkpoint=path, resume=True).run()
 
 
 @pytest.mark.parametrize("engine,frontier", [("serial", "dfs"),

@@ -3,21 +3,23 @@
 The acceptance bar for the store subsystem: re-running an identical
 co-analysis through ``run_one(..., cache=dir)`` must replay >= 90% of
 its segments from the cache and produce a bit-identical
-:class:`CoAnalysisResult` -- on the serial AND the batched engine --
-while any change to the netlist or CSM configuration must change the
-run fingerprint and miss the cache entirely.
+:class:`CoAnalysisResult` -- on the serial, the event AND the batched
+engine -- while any change to the netlist or CSM configuration must
+change the run fingerprint and miss the cache entirely.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis import gating_from_result
+from repro.coanalysis import CoAnalysisEngine
 from repro.coanalysis.results import CoAnalysisResult
 from repro.csm.strategies import Clustered, UberConservative
 from repro.reporting.runner import run_one
 from repro.store import ContentStore, SegmentResultCache, run_fingerprint
-from repro.workloads import built_core
+from repro.workloads import WORKLOADS, build_target, built_core
 
-ENGINES = ["serial", "batch"]
+ENGINES = ["serial", "event", "batch"]
 
 
 def assert_identical(cold: CoAnalysisResult, warm: CoAnalysisResult):
@@ -63,9 +65,8 @@ def test_caching_does_not_change_the_answer(engine, tmp_path):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_governed_resume_with_cache_is_bit_identical(engine, tmp_path):
     """Resuming a governed stop under a segment cache must not lose the
-    pre-stop activity: capture mode routes per-segment planes through
-    the kernel, so the checkpoint's restored union has to be folded
-    into the profile explicitly (regression -- it used to be dropped,
+    pre-stop activity: the checkpoint's planes have to be folded into
+    the resumed run's profile (regression -- they used to be dropped,
     and every resumed cached run under-reported exercised gates)."""
     from repro.resilience.governor import RunBudget
     direct = run_one("dr5", "mult", engine=engine)
@@ -78,6 +79,44 @@ def test_governed_resume_with_cache_is_bit_identical(engine, tmp_path):
                     checkpoint=str(ck), resume=True)
     assert final.complete
     assert_identical(direct, final)
+
+
+@pytest.mark.parametrize("engine", ["serial", "batch"])
+def test_warm_cache_serves_per_path_activity_only_when_asked(engine,
+                                                             tmp_path):
+    """Per-path exercised arrays belong to the run, not to the store.
+    A warm run that asks gets one array per path record -- the uncached
+    run's arrays -- from a store recorded without them (regression: it
+    got none, and the gating analysis refused the result); a warm run
+    that does not ask gets none from a store recorded with them."""
+    target = build_target("dr5", WORKLOADS["Div"])
+    backend = {"serial": "cycle", "batch": "batch"}[engine]
+
+    def run(per_path, store=None):
+        cache = None if store is None else \
+            SegmentResultCache(ContentStore(tmp_path / store), "per-path")
+        return CoAnalysisEngine(target, application="Div", backend=backend,
+                                record_per_path_activity=per_path,
+                                segment_cache=cache).run()
+
+    reference = run(True)
+    assert len(reference.per_path_exercised) == \
+        len(reference.path_records) > 1
+
+    run(False, "without")
+    warm = run(True, "without")
+    assert warm.segment_cache_misses == 0
+    assert len(warm.per_path_exercised) == len(warm.path_records)
+    for got, want in zip(warm.per_path_exercised,
+                         reference.per_path_exercised):
+        assert (got == want).all()
+    assert gating_from_result(target.netlist, warm).summary() == \
+        gating_from_result(target.netlist, reference).summary()
+
+    run(True, "with")
+    warm = run(False, "with")
+    assert warm.segment_cache_misses == 0
+    assert warm.per_path_exercised == []
 
 
 def test_netlist_mutation_invalidates_cache(tmp_path):

@@ -278,17 +278,35 @@ class TestValidation:
             native.pack_gates(levels, compiled.n_nets, GATE_TABLE)
 
     @requires_kernel
-    def test_forced_net_outside_the_plane(self):
-        """numpy would wrap a negative index; C must never see one."""
+    def test_forced_net_outside_the_plane(self, monkeypatch):
+        """numpy would wrap a negative index and pin the last net, and C
+        must never see one: on both kernels a force outside
+        ``[0, n_nets)`` raises at once and leaves the simulator as it
+        was -- no pin, no dirty flag."""
         compiled = compiled_design("ring")
-        sim = CycleSim(compiled)
-        sim.force(-1, Logic.L1)
-        with pytest.raises(IndexError):
+        n = compiled.n_nets
+        for sim in twins(CycleSim, compiled, monkeypatch):
             sim.settle()
-        batch = BatchCycleSim(compiled)
-        batch.lane_force(batch.alloc_lane(), -1, Logic.L1)
-        with pytest.raises(IndexError):
+            before = sim.code.copy()
+            for net in (-1, n):
+                with pytest.raises(IndexError):
+                    sim.force(net, Logic.L1)
+            sim.settle()
+            assert not sim._forces
+            assert (sim.code == before).all()
+            assert settle_counts(sim) == (1, 1)
+        for batch in twins(BatchCycleSim, compiled, monkeypatch):
+            lane = batch.alloc_lane()
             batch.settle()
+            before = batch.val.copy(), batch.known.copy()
+            for net in (-1, n):
+                with pytest.raises(IndexError):
+                    batch.lane_force(lane, net, Logic.L1)
+            batch.settle()
+            assert batch.lane_forced_nets(lane) == []
+            assert (batch.val == before[0]).all()
+            assert (batch.known == before[1]).all()
+            assert settle_counts(batch) == (1, 1)
 
 
 def _summary_and_gates(result):

@@ -290,7 +290,7 @@ def fake_segment(outcome="done", cycles=3, activity=True):
     if activity:
         planes = (np.zeros(4, dtype=bool), np.ones(4, dtype=bool),
                   np.zeros(4, dtype=bool), np.ones(4, dtype=bool))
-    return SegmentResult(outcome, 7, cycles, None, None, planes)
+    return SegmentResult(outcome, 7, cycles, None, planes)
 
 
 def fake_state(cycle=0, pc=7):
