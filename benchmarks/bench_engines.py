@@ -123,7 +123,7 @@ def test_cycle_engine_on_bm32(benchmark):
     compiled = compile_netlist(nl)
 
     def run():
-        sim = CycleSim(compiled, record_activity=False)
+        sim = CycleSim(compiled)
         sim.set_input("rst", Logic.L1)
         sim.set_input("pmem_data", LVec.zeros(32))
         sim.set_input("dmem_rdata", LVec.zeros(32))
@@ -164,7 +164,7 @@ def test_cycle_engine_small_circuit(benchmark):
     compiled = compile_netlist(nl)
 
     def run():
-        sim = CycleSim(compiled, record_activity=False)
+        sim = CycleSim(compiled)
         sim.set_input("rst", Logic.L1)
         sim.step()
         sim.set_input("rst", Logic.L0)
@@ -197,7 +197,7 @@ def test_compile_cost(benchmark):
 
 
 def _warmed_sim(compiled):
-    sim = CycleSim(compiled, record_activity=False)
+    sim = CycleSim(compiled)
     sim.set_input("rst", Logic.L1)
     sim.set_input("pmem_data", LVec.zeros(32))
     sim.set_input("dmem_rdata", LVec.zeros(32))
@@ -255,7 +255,7 @@ def test_segment_replay_fork_heavy(benchmark):
     sweep = reference_sweep(div.c)
     _assert_settle_beats_sweep("level-table settle", div, sweep)
 
-    batch = BatchCycleSim(div.c, record_activity=False)
+    batch = BatchCycleSim(div.c)
     for _ in range(LANE_CAPACITY):
         batch.alloc_lane()
     every_lane = ~np.uint64(0)
@@ -325,7 +325,7 @@ def test_batch_engine_replay_speedup(benchmark):
                 serial.step()
 
     def batch_setup():
-        batch = BatchCycleSim(compiled, record_activity=False)
+        batch = BatchCycleSim(compiled)
         lanes = []
         for _ in range(LANE_CAPACITY):
             lane = batch.alloc_lane()

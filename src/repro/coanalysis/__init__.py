@@ -4,9 +4,9 @@ The one front door is :class:`CoAnalysisEngine`, run on any
 :class:`SymbolicTarget`.  The exploration loop lives in
 :class:`ExplorationKernel`; simulation backends (serial cycle engine,
 event-driven engine, lane-parallel batch) plug in as
-:class:`SimBackend` implementations, frontier ordering as
-:class:`FrontierStrategy` instances, and observability as trace sinks
-on a :class:`Tracer`.
+:class:`SimBackend` implementations, the frontier order is picked by
+name (``"dfs"`` or ``"bfs"``), and observability plugs in as trace
+sinks on a :class:`Tracer`.
 """
 
 from .backend import (SimBackend, boundary_outcome, prepare_initial_state,
@@ -15,7 +15,7 @@ from .engine import CoAnalysisEngine
 from .executors import EventSimBridge, SerialExecutor
 from .frontier import (FRONTIER_STRATEGIES, BreadthFirstFrontier,
                        DepthFirstFrontier, FrontierStrategy,
-                       NoveltyFrontier, make_frontier)
+                       make_frontier)
 from .kernel import (BatchContext, ExplorationKernel, PendingPath,
                      SegmentResult)
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
@@ -32,7 +32,7 @@ __all__ = [
     "CoAnalysisEngine",
     "SerialExecutor", "EventSimBridge",
     "FrontierStrategy", "DepthFirstFrontier", "BreadthFirstFrontier",
-    "NoveltyFrontier", "FRONTIER_STRATEGIES", "make_frontier",
+    "FRONTIER_STRATEGIES", "make_frontier",
     "Tracer", "TraceSink", "TraceEvent", "JsonlTraceSink",
     "MetricsAggregator", "ProgressLine", "RunMetrics",
     "aggregate_trace", "read_trace",

@@ -46,10 +46,7 @@ class PendingPath:
 
     state: SimState
     forced_decision: Optional[int] = None   # 0 / 1 / None (initial path)
-    depth: int = 0
     parent: Optional[int] = None            # spawning segment's path_id
-    origin_pc: Optional[int] = None         # halt PC of the fork that
-                                            # spawned this path (novelty)
 
 
 @dataclass

@@ -42,12 +42,13 @@ compaction is invisible to the results: only lane *scheduling*
 changes, never per-path semantics.  One intentional divergence from
 the serial engine: the total-cycle budget is folded into each lane's
 allowance at induction and decremented at retirement, because
-lockstep lanes share wall-clock cycles; strict runs raise on any
+lockstep lanes share wall-clock cycles; the kernel raises on any
 budget exhaustion either way.
 
 A retiring lane hands its segment's toggle/X and value planes back in
-``SegmentResult.activity`` and is cleared; the kernel folds them into
-the profile in batch order, not retirement order, as on every engine.
+``SegmentResult.activity`` and is dropped (the next ``alloc_lane``
+clears its planes); the kernel folds them into the profile in batch
+order, not retirement order, as on every engine.
 """
 
 from __future__ import annotations
@@ -119,8 +120,7 @@ class BatchSegmentExecutor(SimBackend):
 
     def __init__(self, target: SymbolicTarget,
                  cycle_observer=None,
-                 max_lanes: int = LANE_CAPACITY,
-                 stats: Optional[BatchRunStats] = None):
+                 max_lanes: int = LANE_CAPACITY):
         if not 1 <= max_lanes <= LANE_CAPACITY:
             raise ValueError(f"max_lanes must be in [1, {LANE_CAPACITY}]")
         self.target = target
@@ -129,7 +129,7 @@ class BatchSegmentExecutor(SimBackend):
         self.cycle_observer = cycle_observer
         #: live-occupancy cap within the plane's 64 lanes
         self.max_lanes = max_lanes
-        self.stats = stats or BatchRunStats()
+        self.stats = BatchRunStats()
         self.sim: Optional[BatchCycleSim] = None
         self._last_batch: Dict[str, int] = {}
 
@@ -287,7 +287,6 @@ class BatchSegmentExecutor(SimBackend):
         sim = self.sim
         val, known = sim.lane_planes(lane)
         activity = (*sim.lane_activity(lane), val & known, known)
-        sim.lane_reset_activity(lane)
         sim.drop_lane(lane)
         self.stats.segments += 1
         self.stats.lane_cycles += cycles

@@ -57,10 +57,12 @@ def run_concrete(target: SymbolicTarget, inputs: Dict[int, int],
         target.drive_all(sim)
         if trace_pc:
             pc_trace.append(target.current_pc(sim))
+        # every settled cycle counts, the final one included, as it
+        # does in a symbolic segment that ends "done"
+        sim.record_activity_now()
         if target.is_done(sim):
             finished = True
             break
-        sim.record_activity_now()
         if we_net is not None and sim.get_net(we_net) is Logic.L1:
             addr = sim.get_bus(target._dmem_addr)      # type: ignore
             data = sim.get_bus(target._dmem_wdata)     # type: ignore

@@ -18,10 +18,12 @@ This class is the one front door for every design and every engine:
 the loop itself lives in
 :class:`~repro.coanalysis.kernel.ExplorationKernel`, the simulation
 backend in :class:`~repro.coanalysis.executors.SerialExecutor`.
-``backend="event"`` swaps the vectorized cycle engine for the
-event-driven kernel behind the same harness -- same kernel, same CSM,
-same result type -- and ``backend="batch"`` simulates the whole
-frontier in lockstep on the 64-lane bit-packed engine
+``backend`` takes the engine names ``run_one``, the CLI, job specs,
+checkpoints and fingerprints use: ``"serial"`` (the default) runs the
+vectorized cycle engine, ``"event"`` the event-driven kernel behind the
+same harness -- same kernel, same CSM, same result type -- and
+``"batch"`` simulates the whole frontier in lockstep on the 64-lane
+bit-packed engine
 (:class:`~repro.coanalysis.batch_executor.BatchSegmentExecutor`).
 
 A port-driven design (an FSM or accelerator without memories) is a
@@ -51,7 +53,6 @@ class CoAnalysisEngine:
                  max_cycles_per_path: int = 20000,
                  max_total_cycles: int = 2_000_000,
                  max_paths: int = 100_000,
-                 strict: bool = True,
                  application: str = "app",
                  cycle_observer=None,
                  record_per_path_activity: bool = False,
@@ -59,7 +60,7 @@ class CoAnalysisEngine:
                  resume: bool = False,
                  frontier=None,
                  tracer=None,
-                 backend: str = "cycle",
+                 backend: str = "serial",
                  budget=None,
                  segment_cache=None):
         self.target = target
@@ -67,7 +68,6 @@ class CoAnalysisEngine:
         self.max_cycles_per_path = max_cycles_per_path
         self.max_total_cycles = max_total_cycles
         self.max_paths = max_paths
-        self.strict = strict
         self.application = application
         #: a Checkpointer (or path coerced to one) journaling the run so
         #: an interrupted exploration can be resumed; ``resume=True``
@@ -78,8 +78,9 @@ class CoAnalysisEngine:
         self.checkpoint = as_checkpointer(checkpoint)
         self.resume = resume
         #: frontier scheduling policy: a name from
-        #: :data:`~repro.coanalysis.frontier.FRONTIER_STRATEGIES`, an
-        #: instance, or None for the paper's depth-first stack
+        #: :data:`~repro.coanalysis.frontier.FRONTIER_STRATEGIES`
+        #: (``"dfs"``/``"bfs"``), or None for the paper's depth-first
+        #: stack
         self.frontier = frontier
         #: optional :class:`~repro.coanalysis.trace.Tracer` receiving
         #: the structured event stream (JSONL sink, progress line, ...)
@@ -115,7 +116,7 @@ class CoAnalysisEngine:
             executor, csm=self.csm, frontier=self.frontier,
             max_cycles_per_path=self.max_cycles_per_path,
             max_total_cycles=self.max_total_cycles,
-            max_paths=self.max_paths, strict=self.strict,
+            max_paths=self.max_paths,
             application=self.application, checkpoint=self.checkpoint,
             resume=self.resume, tracer=self.tracer,
             budget=self.budget, segment_cache=self.segment_cache,

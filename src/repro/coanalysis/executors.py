@@ -5,7 +5,7 @@ Each executor implements the
 of simulating a path segment:
 
 * :class:`SerialExecutor` -- one in-process simulator, restored per
-  segment.  With ``backend="cycle"`` that simulator is the vectorized
+  segment.  With ``backend="serial"`` that simulator is the vectorized
   :class:`~repro.sim.cycle_sim.CycleSim` (the production engine); with
   ``backend="event"`` it is an :class:`EventSimBridge`, a
   CycleSim-compatible facade over the event-driven kernel, so the
@@ -44,15 +44,15 @@ class SerialExecutor(SimBackend):
 
     def __init__(self, target: SymbolicTarget,
                  cycle_observer=None,
-                 backend: str = "cycle"):
-        if backend not in ("cycle", "event"):
+                 backend: str = "serial"):
+        if backend not in ("serial", "event"):
             raise ValueError(f"unknown backend {backend!r}; "
-                             f"known: 'cycle', 'event'")
+                             f"known: 'serial', 'event'")
         self.target = target
         self.netlist = target.netlist
         self.design = target.name
-        self.backend = backend
-        self.kind = "serial" if backend == "cycle" else "event"
+        #: the engine name doubles as the checkpoint engine tag
+        self.kind = backend
         #: optional callable(sim, path_id, cycle) invoked on every
         #: settled cycle of every explored path -- the hook used by the
         #: peak-power analysis and by waveform dumping
@@ -64,7 +64,7 @@ class SerialExecutor(SimBackend):
 
     def prepare(self) -> SimState:
         target = self.target
-        if self.backend == "event":
+        if self.kind == "event":
             sim = target.prepare_sim(
                 EventSimBridge(target.netlist, target.compiled))
         else:

@@ -1,26 +1,22 @@
-"""Pluggable frontier scheduling for Algorithm 1's pending-path set.
+"""Frontier scheduling for Algorithm 1's pending-path set.
 
 The paper's tool explores its stack ``U`` depth-first, but the order in
 which pending paths are simulated is a *policy*, not part of the
 algorithm's soundness argument: any order converges to the same
 exercisable-gate dichotomy once the CSM's repository saturates (only
-path/merge counts shift).  Symbolic engines in the KLEE lineage make the
-same split -- one exploration core, interchangeable "searchers" -- and
-that separation is what lets scaling strategies compose.
+path/merge counts shift).
 
-Three strategies ship:
+Two orders ship:
 
-* :class:`DepthFirstFrontier` -- the paper's LIFO stack (serial default);
+* :class:`DepthFirstFrontier` -- the paper's LIFO stack (the default);
 * :class:`BreadthFirstFrontier` -- FIFO, the batch engine's natural
-  order (whole frontier packed into lanes per wave);
-* :class:`NoveltyFrontier` -- prefers paths forked at rarely-seen halt
-  PCs, steering simulation toward unexplored program regions first.
+  order (whole frontier packed into lanes per wave).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional
+from collections import deque
+from typing import List, Optional
 
 from .kernel import PendingPath
 
@@ -55,16 +51,6 @@ class FrontierStrategy:
     def entries(self) -> List[PendingPath]:
         """Checkpoint view: every pending path, in re-push order."""
         raise NotImplementedError
-
-    def observe_halt(self, pc: int) -> None:
-        """Feedback hook: a path halted at ``pc`` (novelty bookkeeping)."""
-
-    def snapshot_meta(self) -> dict:
-        """Strategy-private state worth checkpointing (may be empty)."""
-        return {}
-
-    def restore_meta(self, meta: dict) -> None:
-        pass
 
 
 class DepthFirstFrontier(FrontierStrategy):
@@ -103,7 +89,6 @@ class BreadthFirstFrontier(FrontierStrategy):
     name = "bfs"
 
     def __init__(self):
-        from collections import deque
         self._queue = deque()
 
     def push(self, path: PendingPath) -> None:
@@ -126,80 +111,17 @@ class BreadthFirstFrontier(FrontierStrategy):
         return list(self._queue)
 
 
-class NoveltyFrontier(FrontierStrategy):
-    """Priority schedule by estimated novelty of each path's fork site.
-
-    A path forked at a halt PC the run has seen few times is likely to
-    reach program regions (and therefore gates) no other path has
-    exercised yet, so it is scheduled first; among equally novel paths
-    the shallower one wins, then insertion order (deterministic).  This
-    front-loads coverage growth -- useful with tight cycle budgets or
-    time-sliced (``stop_after_waves``) exploration.
-    """
-
-    name = "novelty"
-
-    def __init__(self):
-        self._heap: List[tuple] = []
-        self._seen: Dict[int, int] = {}       # halt pc -> observations
-        self._counter = 0
-
-    def _priority(self, path: PendingPath) -> tuple:
-        seen = self._seen.get(path.origin_pc, 0) \
-            if path.origin_pc is not None else 0
-        return (seen, path.depth)
-
-    def push(self, path: PendingPath) -> None:
-        heapq.heappush(self._heap,
-                       (*self._priority(path), self._counter, path))
-        self._counter += 1
-
-    def pop_batch(self, limit: Optional[int]) -> List[PendingPath]:
-        if limit is None:
-            limit = len(self._heap)
-        batch = []
-        while self._heap and len(batch) < limit:
-            batch.append(heapq.heappop(self._heap)[-1])
-        return batch
-
-    def requeue(self, batch: List[PendingPath]) -> None:
-        # negative insertion order keeps requeued paths ahead of
-        # same-priority peers, preserving the interrupted schedule
-        for offset, path in enumerate(batch):
-            heapq.heappush(
-                self._heap,
-                (*self._priority(path), -(len(batch) - offset), path))
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def entries(self) -> List[PendingPath]:
-        return [item[-1] for item in sorted(self._heap)]
-
-    def observe_halt(self, pc: int) -> None:
-        self._seen[pc] = self._seen.get(pc, 0) + 1
-
-    def snapshot_meta(self) -> dict:
-        return {"seen": dict(self._seen)}
-
-    def restore_meta(self, meta: dict) -> None:
-        self._seen = dict(meta.get("seen", {}))
-
-
 FRONTIER_STRATEGIES = {
     DepthFirstFrontier.name: DepthFirstFrontier,
     BreadthFirstFrontier.name: BreadthFirstFrontier,
-    NoveltyFrontier.name: NoveltyFrontier,
 }
 
 
-def make_frontier(strategy) -> FrontierStrategy:
-    """Coerce a strategy argument: a name looks up the registry, an
-    instance passes through, ``None`` gives the DFS default."""
+def make_frontier(strategy: Optional[str]) -> FrontierStrategy:
+    """A fresh frontier for a strategy name; ``None`` gives the DFS
+    default."""
     if strategy is None:
         return DepthFirstFrontier()
-    if isinstance(strategy, FrontierStrategy):
-        return strategy
     try:
         return FRONTIER_STRATEGIES[strategy]()
     except KeyError:

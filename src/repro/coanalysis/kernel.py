@@ -5,15 +5,17 @@ run on the compiled cycle engine, the event-driven engine, or the
 lane-packed batch engine -- only *how a batch of segments is simulated*
 differs.  :class:`ExplorationKernel` owns everything else:
 
-* the frontier of pending paths (a pluggable
-  :class:`~repro.coanalysis.frontier.FrontierStrategy`);
+* the frontier of pending paths (depth- or breadth-first, see
+  :mod:`repro.coanalysis.frontier`);
 * CSM merge decisions and forking (both branch outcomes pushed);
 * the toggle profile (Algorithm 1 lines 24 and 29-43): every segment's
   activity planes -- simulated, replayed from the segment cache, or
   restored from a checkpoint -- are folded here and nowhere else, in
   batch order, and the per-path exercised arrays are derived from the
   same planes when the run asks for them;
-* per-path and total cycle budgets;
+* per-path and total cycle budgets (a segment that exhausts one ends
+  the run with :class:`~repro.coanalysis.results.CoAnalysisError`: its
+  path's activity is incomplete, so the dichotomy would be unsound);
 * checkpoint/resume through the one versioned payload codec in
   :mod:`repro.resilience.checkpoint`;
 * the structured trace stream (:mod:`repro.coanalysis.trace`);
@@ -65,7 +67,6 @@ class ExplorationKernel:
                  max_cycles_per_path: int = 20000,
                  max_total_cycles: Optional[int] = 2_000_000,
                  max_paths: int = 100_000,
-                 strict: bool = True,
                  application: str = "app",
                  checkpoint=None,
                  resume: bool = False,
@@ -82,7 +83,6 @@ class ExplorationKernel:
         self.max_cycles_per_path = max_cycles_per_path
         self.max_total_cycles = max_total_cycles
         self.max_paths = max_paths
-        self.strict = strict
         self.application = application
         self.checkpoint = as_checkpointer(checkpoint)
         self.resume = resume
@@ -280,17 +280,15 @@ class ExplorationKernel:
         result.profile.absorb(*segment.activity)
         outcome = segment.outcome
         if outcome == "budget":
-            result.truncated_paths += 1
-            if self.strict:
-                if self.max_total_cycles is not None:
-                    raise CoAnalysisError(
-                        f"cycle budget exhausted on path {path_id} "
-                        f"(per-path {self.max_cycles_per_path}, total "
-                        f"{self.max_total_cycles}); analysis unsound")
+            if self.max_total_cycles is not None:
                 raise CoAnalysisError(
                     f"cycle budget exhausted on path {path_id} "
-                    f"(per-path {self.max_cycles_per_path}); "
-                    f"analysis unsound")
+                    f"(per-path {self.max_cycles_per_path}, total "
+                    f"{self.max_total_cycles}); analysis unsound")
+            raise CoAnalysisError(
+                f"cycle budget exhausted on path {path_id} "
+                f"(per-path {self.max_cycles_per_path}); "
+                f"analysis unsound")
         elif outcome == "halt":
             pc = segment.end_pc
             if pc is None:
@@ -302,7 +300,6 @@ class ExplorationKernel:
             tracer.emit("halt", path_id=path_id, pc=pc,
                         cycles=segment.cycles)
             decision = self.csm.observe(pc, segment.end_state)
-            self.frontier.observe_halt(pc)
             if decision.covered:
                 result.paths_skipped += 1
                 outcome = "skipped"
@@ -315,8 +312,7 @@ class ExplorationKernel:
                 for branch in (1, 0):
                     self.frontier.push(PendingPath(
                         decision.resume_state, forced_decision=branch,
-                        depth=path.depth + 1, parent=path_id,
-                        origin_pc=pc))
+                        parent=path_id))
                     result.paths_created += 1
                 outcome = "split"
                 tracer.emit("fork", path_id=path_id, pc=pc,
@@ -338,11 +334,10 @@ class ExplorationKernel:
             engine=self.executor.kind,
             design=result.design,
             application=self.application,
-            frontier=[(p.state.to_bytes(), p.forced_decision, p.depth,
-                       p.parent, p.origin_pc)
+            frontier=[(p.state.to_bytes(), p.forced_decision, None,
+                       p.parent, None)
                       for p in self.frontier.entries()],
             strategy=self.frontier.name,
-            strategy_meta=self.frontier.snapshot_meta(),
             csm=self.csm.snapshot_state(),
             activity={"repr": "profile",
                       "toggled": profile.toggled.copy(),
@@ -411,12 +406,11 @@ class ExplorationKernel:
         result.per_path_exercised = list(payload["per_path_exercised"])
         result.journal = list(payload["journal"])
         result.resumed = True
-        for blob, forced, depth, parent, origin_pc in payload["frontier"]:
+        # the entries re-push into this run's frontier whatever order
+        # wrote them; slots 2 and 4 are retired (written as None)
+        for blob, forced, _, parent, _ in payload["frontier"]:
             self.frontier.push(PendingPath(
-                SimState.from_bytes(blob), forced, depth, parent,
-                origin_pc))
-        if payload.get("strategy") == self.frontier.name:
-            self.frontier.restore_meta(payload.get("strategy_meta", {}))
+                SimState.from_bytes(blob), forced, parent))
         result.journal.append(RunEvent(
             "resume", wave=self.batches_done,
             segment=len(result.path_records),

@@ -57,6 +57,9 @@ class CoAnalysisResult:
     wall_seconds: float = 0.0
     csm_stats: Dict[str, int] = field(default_factory=dict)
     path_records: List[PathRecord] = field(default_factory=list)
+    #: always 0 on a returned result: a segment that exhausts a cycle
+    #: budget ends the run with CoAnalysisError.  Kept in summary() and
+    #: checkpoint counters, whose readers check it
     truncated_paths: int = 0
     #: per-segment exercised-net arrays (aligned with path_records);
     #: populated when the engine runs with record_per_path_activity

@@ -110,8 +110,8 @@ def replay_witness(original: Netlist, bespoke: Netlist,
     ``confirmed`` says whether concrete simulation reproduced *any*
     divergence the SAT model promised.
     """
-    sim_o = CycleSim(compile_netlist(original), record_activity=False)
-    sim_b = CycleSim(compile_netlist(bespoke), record_activity=False)
+    sim_o = CycleSim(compile_netlist(original))
+    sim_b = CycleSim(compile_netlist(bespoke))
 
     state = dict(witness.get("state", {}))
     frames: List[Dict[str, int]] = list(witness.get("inputs", []))

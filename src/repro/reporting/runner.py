@@ -144,7 +144,7 @@ def run_one(design: str, benchmark: str,
     """One symbolic co-analysis run.
 
     ``strategy`` is the CSM merge strategy; ``frontier`` schedules the
-    path frontier (``dfs``/``bfs``/``novelty``).  ``engine`` picks the
+    path frontier (``dfs`` or ``bfs``).  ``engine`` picks the
     simulation backend (``serial``, the default, ``event`` or
     ``batch``) -- all of them run in this process, through the same
     :class:`~repro.coanalysis.kernel.ExplorationKernel`.  ``batch``
@@ -192,10 +192,7 @@ def run_one(design: str, benchmark: str,
                               application=benchmark,
                               checkpoint=checkpoint, resume=resume,
                               frontier=frontier, tracer=tracer,
-                              backend={"serial": "cycle",
-                                       "event": "event",
-                                       "batch": "batch"}[engine],
-                              budget=budget,
+                              backend=engine, budget=budget,
                               segment_cache=segment_cache).run()
     if store is not None:
         _register_run(store, fp, result, checkpoint, trace)

@@ -157,14 +157,16 @@ RUN_PAYLOAD_CODEC = 2
 
 
 def encode_run_payload(engine: str, design: str, application: str,
-                       frontier: list, strategy: str, strategy_meta: dict,
-                       csm: dict, activity: dict, counters: dict,
+                       frontier: list, strategy: str, csm: dict,
+                       activity: dict, counters: dict,
                        path_records: list, per_path_exercised: list,
                        journal: list) -> dict:
     """Build the one v2 run payload every backend checkpoints through.
 
-    ``frontier`` is a list of ``(state_bytes, forced_decision, depth,
-    parent, origin_pc)`` tuples in re-push order; ``activity`` carries a
+    ``frontier`` is a list of ``(state_bytes, forced_decision, None,
+    parent, None)`` tuples in re-push order: slots 2 and 4 once held a
+    fork depth and origin PC for a retired frontier order, and stay in
+    the entry so the v2 shape does not change.  ``activity`` carries a
     ``"repr"`` key (``"sim"`` for live simulator planes, ``"profile"``
     for an accumulated toggle profile) beside the four boolean planes.
     """
@@ -175,7 +177,6 @@ def encode_run_payload(engine: str, design: str, application: str,
         "application": application,
         "frontier": list(frontier),
         "strategy": strategy,
-        "strategy_meta": dict(strategy_meta),
         "csm": csm,
         "activity": activity,
         "counters": dict(counters),
@@ -192,7 +193,9 @@ def decode_run_payload(payload: dict) -> dict:
     stored the frontier as 4-tuples under ``"stack"`` with live sim
     planes; they upgrade losslessly.  Older v2 payloads may still carry
     the retired poison-segment ``quarantine`` snapshot and
-    ``quarantined_paths`` counter; both are dropped.
+    ``quarantined_paths`` counter; both are dropped.  Their
+    ``strategy_meta`` (the retired novelty order's halt counts) and the
+    depth/origin-PC slots of their frontier entries are never read.
     """
     codec = payload.get("codec")
     if codec == RUN_PAYLOAD_CODEC:
@@ -201,7 +204,6 @@ def decode_run_payload(payload: dict) -> dict:
         out["counters"] = {k: v for k, v in out["counters"].items()
                            if k != "quarantined_paths"}
         out.setdefault("per_path_exercised", [])
-        out.setdefault("strategy_meta", {})
         return out
     if codec is not None:
         raise CheckpointError(
@@ -223,7 +225,6 @@ def decode_run_payload(payload: dict) -> dict:
                          for blob, forced, depth, parent
                          in payload["stack"]],
             "strategy": "dfs",
-            "strategy_meta": {},
             "csm": payload["csm"],
             "activity": activity,
             "counters": counters,

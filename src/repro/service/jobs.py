@@ -366,7 +366,12 @@ class JobStore:
             manifest = None
         if manifest is None or manifest.get("kind") != "job":
             raise UnknownJob(job_id)
-        return Job.from_manifest(manifest)
+        try:
+            return Job.from_manifest(manifest)
+        except (KeyError, ValueError):
+            # foreign or corrupt, e.g. a spec naming a retired option:
+            # not a job this service can run or show
+            raise UnknownJob(job_id) from None
 
     def list_jobs(self) -> List[Job]:
         jobs: List[Job] = []
@@ -375,7 +380,7 @@ class JobStore:
                 continue
             try:
                 jobs.append(self.load(name[len("job-"):]))
-            except (UnknownJob, JobSpecError, KeyError, ValueError):
+            except UnknownJob:
                 continue              # foreign/corrupt manifest: skip
         jobs.sort(key=lambda j: j.created)
         return jobs

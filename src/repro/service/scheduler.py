@@ -39,12 +39,20 @@ import shutil
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
 from ..store import ContentStore, StoreError
 from .jobs import (Job, JobSpec, JobStore, TERMINAL_STATES, UnknownJob)
+
+
+#: event-loop poll period, seconds
+POLL_INTERVAL = 0.05
+#: multiprocessing start method (spawn: no inherited state)
+MP_CONTEXT = "spawn"
+#: per-job detail rows kept for the /metrics endpoint
+METRICS_JOBS_KEPT = 50
 
 
 class QuotaExceeded(RuntimeError):
@@ -57,18 +65,12 @@ class SchedulerConfig:
 
     #: worker processes running jobs concurrently
     workers: int = 2
-    #: event-loop poll period, seconds
-    poll_interval: float = 0.05
     #: re-dispatches allowed after a worker dies without a verdict
     max_retries: int = 1
     #: default ``shard_segments`` applied to specs that set none
     shard_segments: Optional[int] = None
     #: max QUEUED+RUNNING jobs per submitter (None = unlimited)
     quota_jobs: Optional[int] = None
-    #: multiprocessing start method (spawn: no inherited state)
-    mp_context: str = "spawn"
-    #: per-job detail rows kept for the /metrics endpoint
-    metrics_jobs_kept: int = 50
 
 
 def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
@@ -168,7 +170,6 @@ class _Running:
     proc: multiprocessing.process.BaseProcess
     attempt: int
     cancel_requested: bool = False
-    started: float = field(default_factory=time.monotonic)
 
 
 class Scheduler:
@@ -184,7 +185,7 @@ class Scheduler:
             else ContentStore(Path(store))
         self.job_store = JobStore(self.store)
         self.config = config or SchedulerConfig()
-        self._ctx = multiprocessing.get_context(self.config.mp_context)
+        self._ctx = multiprocessing.get_context(MP_CONTEXT)
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._runnable: Deque[str] = deque()
@@ -373,7 +374,7 @@ class Scheduler:
                           + self.counters["cache_served"])
             per_job: Dict[str, Dict] = {}
             recent = sorted(self._jobs.values(), key=lambda j: j.created,
-                            reverse=True)[:self.config.metrics_jobs_kept]
+                            reverse=True)[:METRICS_JOBS_KEPT]
             for job in recent:
                 per_job[job.job_id] = {
                     "state": job.state,
@@ -525,7 +526,7 @@ class Scheduler:
             with self._lock:
                 if self._stop_requested and not self._running:
                     return
-            await asyncio.sleep(self.config.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
 
     def _fill_slots(self) -> None:
         while len(self._running) < self.config.workers and self._runnable:

@@ -87,8 +87,7 @@ class BatchCycleSim:
     :class:`~repro.sim.cycle_sim.CycleSim`.
     """
 
-    def __init__(self, compiled: CompiledNetlist,
-                 record_activity: bool = True):
+    def __init__(self, compiled: CompiledNetlist):
         self.c = compiled
         self.planes = LanePlanes(compiled.n_nets)
         self.kernels = batch_kernels_for(compiled)
@@ -105,7 +104,6 @@ class BatchCycleSim:
         self.active_mask = 0
         self.lane_cycle: List[int] = [0] * LANE_CAPACITY
         self.lane_memories: Dict[int, Dict[str, XMemory]] = {}
-        self.record_activity = record_activity
         self.toggled = self.planes.toggled
         self.ever_x = self.planes.ever_x
         self._armed_mask = 0
@@ -524,8 +522,6 @@ class BatchCycleSim:
 
     def record_activity_now(self, lane_bits: Optional[int] = None) -> None:
         """Record toggles/Xs for all armed lanes (or a subset)."""
-        if not self.record_activity:
-            return
         mask_int = self._armed_mask if lane_bits is None \
             else self._armed_mask & lane_bits
         if not mask_int:

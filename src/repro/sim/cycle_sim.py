@@ -336,12 +336,12 @@ class CycleSim:
 
     Args:
         compiled: the shared :class:`CompiledNetlist`.
-        record_activity: collect toggle/ever-X planes (see
-            :meth:`arm_activity`).
+
+    Toggle/ever-X planes are collected only once armed (see
+    :meth:`arm_activity`).
     """
 
-    def __init__(self, compiled: CompiledNetlist,
-                 record_activity: bool = True):
+    def __init__(self, compiled: CompiledNetlist):
         self.c = compiled
         n = compiled.n_nets
         # the shared six-plane state layout (see repro.sim.planes);
@@ -352,7 +352,6 @@ class CycleSim:
         self.code = self.planes.code
         self.cycle = 0
         self.memories: Dict[str, XMemory] = {}
-        self.record_activity = record_activity
         self.toggled = self.planes.toggled
         self.ever_x = self.planes.ever_x
         self._activity_armed = False
@@ -606,7 +605,7 @@ class CycleSim:
         self._prev_code[:] = self.code
 
     def record_activity_now(self) -> None:
-        if not (self.record_activity and self._activity_armed):
+        if not self._activity_armed:
             return
         self.ever_x |= ~self.known
         self.toggled |= self.code != self._prev_code

@@ -5,10 +5,9 @@ by its governor must resume to the same exercisable-gate dichotomy as
 an uninterrupted run -- never a silently different answer -- and a
 checkpoint must only ever resume the run it belongs to.
 
-The whole suite re-runs under any frontier scheduling strategy: set
-``REPRO_FRONTIER`` (``dfs``/``bfs``/``novelty``) to pin the schedule --
-CI runs the dfs and bfs legs -- since resumption must be
-order-independent.
+The whole suite re-runs under either frontier order: set
+``REPRO_FRONTIER`` (``dfs``/``bfs``) to pin the schedule -- CI runs
+both legs -- since resumption must be order-independent.
 """
 
 import os

@@ -43,13 +43,10 @@ def tiny_target() -> CoreTarget:
                       symbolic_ranges=[(INPUT_BASE, INPUT_BASE + 1)])
 
 
-BACKENDS = {"serial": "cycle", "event": "event", "batch": "batch"}
-
-
 def run_engine(engine_name: str, frontier: str, **kw):
     return CoAnalysisEngine(tiny_target(), application="tiny",
-                            frontier=frontier,
-                            backend=BACKENDS[engine_name], **kw).run()
+                            frontier=frontier, backend=engine_name,
+                            **kw).run()
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +191,7 @@ def test_resumed_run_metrics_match_uninterrupted(engine_name, tmp_path):
     def run(**kw):
         return CoAnalysisEngine(two_branch_target(),
                                 application="twobranch",
-                                backend=BACKENDS[engine_name], **kw).run()
+                                backend=engine_name, **kw).run()
 
     whole = run()
     ckpt = tmp_path / "run.ckpt"

@@ -12,6 +12,13 @@ old-format journal by converting a real v2 payload, resumes it through
 the kernel, and checks the run completes with the same answer as an
 uninterrupted one.
 
+Until the novelty frontier order was retired, every v2 frontier entry
+carried the path's fork depth and origin PC in its third and fifth
+slots, and the payload a ``strategy_meta`` dict (novelty's halt
+counts).  The kernel now writes ``None`` into those slots and never
+reads them: such journals resume, and one written under the novelty
+order resumes into a dfs or bfs frontier.
+
 Journals written by the removed worker-pool engine (tag ``"parallel"``)
 must be refused with the kernel's engine-mismatch error, never resumed
 on another engine.
@@ -36,7 +43,7 @@ def _engine(**kw):
                             application="mult", **kw)
 
 
-def _stopped_payload(tmp_path, backend="cycle", frontier=None):
+def _stopped_payload(tmp_path, backend="serial", frontier=None):
     """A live v2 payload from a run governed to stop after 2 segments."""
     ck = tmp_path / f"v2-{backend}.ckpt"
     partial = _engine(backend=backend, frontier=frontier,
@@ -99,7 +106,7 @@ def test_precodec_serial_journal_resumes(tmp_path):
 
 @pytest.mark.parametrize("cached", [False, True],
                          ids=["uncached", "cached"])
-@pytest.mark.parametrize("backend", ["cycle", "event"])
+@pytest.mark.parametrize("backend", ["serial", "event"])
 def test_v2_sim_checkpoint_resumes_bit_identical(tmp_path, backend,
                                                  cached):
     """A v2 ``"repr": "sim"`` checkpoint, as the serial and the event
@@ -122,6 +129,73 @@ def test_v2_sim_checkpoint_resumes_bit_identical(tmp_path, backend,
     assert resumed.simulated_cycles == baseline.simulated_cycles
 
 
+def _with_retired_slots(v2, strategy):
+    """``v2`` as the kernel wrote it while frontier entries carried a
+    fork depth and origin PC: ints in slots 2 and 4, ``strategy_meta``
+    beside the strategy name.  A novelty journal listed its entries in
+    novelty's priority order and kept its halt-PC counts."""
+    frontier = [(blob, forced, 1 + offset % 3, parent, 0x40 + offset)
+                for offset, (blob, forced, _, parent, _)
+                in enumerate(v2["frontier"])]
+    meta = {}
+    if strategy == "novelty":
+        frontier.reverse()
+        meta = {"seen": {0x40 + i: 1 for i in range(len(frontier))}}
+    return dict(v2, frontier=frontier, strategy=strategy,
+                strategy_meta=meta)
+
+
+def test_kernel_writes_none_into_the_retired_slots(tmp_path):
+    v2 = _stopped_payload(tmp_path)
+    assert "strategy_meta" not in v2
+    for blob, forced, depth, parent, origin_pc in v2["frontier"]:
+        assert isinstance(blob, bytes) and forced in (0, 1)
+        assert depth is None and origin_pc is None
+        assert parent is not None
+
+
+@pytest.mark.parametrize("backend", ["serial", "event", "batch"])
+@pytest.mark.parametrize("frontier", ["dfs", "bfs"])
+def test_journal_with_depth_and_origin_slots_resumes(tmp_path, backend,
+                                                     frontier):
+    """A journal written under dfs or bfs while entries carried depth
+    and origin PC resumes to the unbounded run, plane for plane and
+    count for count."""
+    v2 = _stopped_payload(tmp_path, backend=backend, frontier=frontier)
+    path = _journal(tmp_path, "slots.ckpt",
+                    _with_retired_slots(v2, frontier))
+    resumed = _engine(backend=backend, frontier=frontier,
+                      checkpoint=path, resume=True).run()
+    assert resumed.complete and resumed.resumed
+
+    baseline = _engine(backend=backend, frontier=frontier).run()
+    for plane in PLANES:
+        assert (getattr(resumed.profile, plane)
+                == getattr(baseline.profile, plane)).all(), plane
+    assert resumed.paths_created == baseline.paths_created
+    assert resumed.simulated_cycles == baseline.simulated_cycles
+
+
+@pytest.mark.parametrize("backend", ["serial", "batch"])
+@pytest.mark.parametrize("frontier", ["dfs", "bfs"])
+def test_novelty_journal_resumes_into_dfs_or_bfs(tmp_path, backend,
+                                                 frontier):
+    """A journal written under the retired novelty order re-pushes its
+    entries into the resuming run's frontier and reaches the unbounded
+    dichotomy; only path counts depend on the order."""
+    v2 = _stopped_payload(tmp_path, backend=backend)
+    path = _journal(tmp_path, "novelty.ckpt",
+                    _with_retired_slots(v2, "novelty"))
+    resumed = _engine(backend=backend, frontier=frontier,
+                      checkpoint=path, resume=True).run()
+    assert resumed.complete and resumed.resumed
+
+    baseline = run_one("dr5", "mult")
+    assert resumed.profile.exercisable_gates() == \
+        baseline.profile.exercisable_gates()
+    assert resumed.paths_created == 1 + 2 * resumed.splits
+
+
 def test_checkpoint_planes_that_do_not_fit_are_refused(tmp_path):
     """A plane of the wrong length ends the resume with ResumeMismatch,
     even a one-net plane that numpy would broadcast across the
@@ -141,11 +215,10 @@ def test_v2_journal_with_quarantine_fields_resumes(tmp_path, engine,
     kept a quarantine: an extra ``quarantine`` key and a
     ``quarantined_paths`` counter.  It resumes to the unbounded answer,
     and the retired counter does not leak onto the result."""
-    backend = {"serial": "cycle", "batch": "batch"}[engine]
-    v2 = _stopped_payload(tmp_path, backend=backend, frontier=frontier)
+    v2 = _stopped_payload(tmp_path, backend=engine, frontier=frontier)
     older = dict(v2, quarantine=None,
                  counters=dict(v2["counters"], quarantined_paths=0))
-    resumed = _engine(backend=backend, frontier=frontier,
+    resumed = _engine(backend=engine, frontier=frontier,
                       checkpoint=_journal(tmp_path, "older.ckpt", older),
                       resume=True).run()
     assert resumed.complete and resumed.resumed

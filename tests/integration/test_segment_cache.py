@@ -90,12 +90,11 @@ def test_warm_cache_serves_per_path_activity_only_when_asked(engine,
     got none, and the gating analysis refused the result); a warm run
     that does not ask gets none from a store recorded with them."""
     target = build_target("dr5", WORKLOADS["Div"])
-    backend = {"serial": "cycle", "batch": "batch"}[engine]
 
     def run(per_path, store=None):
         cache = None if store is None else \
             SegmentResultCache(ContentStore(tmp_path / store), "per-path")
-        return CoAnalysisEngine(target, application="Div", backend=backend,
+        return CoAnalysisEngine(target, application="Div", backend=engine,
                                 record_per_path_activity=per_path,
                                 segment_cache=cache).run()
 

@@ -111,6 +111,27 @@ def test_recovery_keeps_manifests_stored_with_workers(tmp_path,
                          fresh.job_store.load_result(recovered))
 
 
+def test_recovery_skips_manifests_naming_novelty(tmp_path):
+    """A QUEUED manifest stored for the retired novelty frontier order is
+    skipped by recovery, like any foreign manifest; a QUEUED bfs one
+    beside it is re-enqueued and runs."""
+    root = tmp_path / "store"
+    idle = Scheduler(root)      # never started: submissions stay QUEUED
+    bfs = idle.submit({"design": "dr5", "benchmark": "mult",
+                       "frontier": "bfs"})
+    novelty = idle.submit({"design": "dr5", "benchmark": "mult",
+                           "dedup": False})
+    name = f"job-{novelty.job_id}"
+    manifest = idle.store.get_manifest(name)
+    manifest["spec"] = dict(manifest["spec"], frontier="novelty")
+    idle.store.put_manifest(name, manifest)
+
+    with Scheduler(root, SchedulerConfig(workers=1)) as fresh:
+        assert fresh.wait(bfs.job_id, timeout=300).state == "DONE"
+        assert [j.job_id for j in fresh.list_jobs()] == [bfs.job_id]
+        assert fresh.counters["executed"] == 1
+
+
 def test_sharded_run_converges(tmp_path, direct_result):
     """Work-stealing shards: many governed dispatches, one answer."""
     with Scheduler(tmp_path / "store",

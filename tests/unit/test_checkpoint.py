@@ -133,8 +133,8 @@ class TestRunPayloadCodec:
                                                  encode_run_payload)
         payload = encode_run_payload(
             engine="serial", design="d", application="a",
-            frontier=[(b"blob", 1, 2, 0, 7)], strategy="dfs",
-            strategy_meta={}, csm={"repo": []},
+            frontier=[(b"blob", 1, None, 0, None)], strategy="dfs",
+            csm={"repo": []},
             activity={"repr": "sim"},
             counters={"paths_created": 3, "batches_done": 1},
             path_records=[], per_path_exercised=[], journal=[])

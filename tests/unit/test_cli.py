@@ -23,10 +23,10 @@ class TestParser:
     def test_run_is_an_alias_of_analyze(self):
         args = build_parser().parse_args(
             ["run", "dr5", "mult", "--engine", "event",
-             "--strategy", "novelty", "--trace", "out.jsonl",
+             "--strategy", "bfs", "--trace", "out.jsonl",
              "--progress"])
         assert args.engine == "event"
-        assert args.strategy == "novelty"
+        assert args.strategy == "bfs"
         assert args.trace == "out.jsonl"
         assert args.progress
 

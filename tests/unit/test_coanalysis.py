@@ -69,6 +69,13 @@ class TestEngineBasics:
         assert result.splits == 0
         assert result.path_records[0].outcome == "done"
 
+    def test_cycle_is_not_an_engine_name(self):
+        # backend takes "serial" / "event" / "batch", as run_one, the
+        # CLI, job specs and checkpoints spell them
+        with pytest.raises(ValueError, match="unknown backend 'cycle'"):
+            CoAnalysisEngine(ToyTarget(toy_design()), application="toy",
+                             backend="cycle").run()
+
     def test_split_on_symbolic_branch(self):
         target = ToyTarget(toy_design())
         result = CoAnalysisEngine(target, application="toy").run()
@@ -108,18 +115,9 @@ class TestBudgets:
         target = ToyTarget(toy_design(), halt_pc=None,
                            symbolic_input=False)
         engine = CoAnalysisEngine(target, application="toy",
-                                  max_cycles_per_path=20, strict=True)
-        with pytest.raises(CoAnalysisError):
+                                  max_cycles_per_path=20)
+        with pytest.raises(CoAnalysisError, match="analysis unsound"):
             engine.run()
-
-    def test_lenient_budget_truncates(self):
-        target = ToyTarget(toy_design(), halt_pc=None,
-                           symbolic_input=False)
-        engine = CoAnalysisEngine(target, application="toy",
-                                  max_cycles_per_path=20, strict=False)
-        result = engine.run()
-        assert result.truncated_paths == 1
-        assert result.path_records[0].outcome == "budget"
 
     def test_max_paths_guard(self):
         target = ToyTarget(toy_design())
@@ -144,6 +142,20 @@ class TestActivitySemantics:
         run = run_concrete(target, {"d": 1}, max_cycles=50)
         extra = run.exercised_nets & ~result.profile.exercised_nets()
         assert not extra.any()
+
+    def test_concrete_run_records_its_final_cycle(self):
+        """A concrete run records every settled cycle, the one where the
+        program is done included, as a symbolic segment ending "done"
+        does.  With no X input the symbolic run is that one concrete
+        path, so the two exercised sets are equal (the halt decode only
+        toggles on the final cycle)."""
+        target = ToyTarget(toy_design(), symbolic_input=False)
+        result = CoAnalysisEngine(target, application="toy").run()
+        from repro.coanalysis.concrete import run_concrete
+        run = run_concrete(target, {"d": 0}, max_cycles=50)
+        assert run.finished
+        assert (run.exercised_nets
+                == result.profile.exercised_nets()).all()
 
 
 class TestMonitorGating:

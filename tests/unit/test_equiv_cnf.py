@@ -131,7 +131,7 @@ class TestStructuralEncoder:
             q = nl.add_net("q")
             nl.add_gate("u0", kind, pins, q)
             nl.mark_output(q)
-            sim = CycleSim(compile_netlist(nl), record_activity=False)
+            sim = CycleSim(compile_netlist(nl))
 
             for q0 in (False, True):
                 for bits in itertools.product((False, True), repeat=arity):

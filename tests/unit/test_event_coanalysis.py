@@ -138,7 +138,7 @@ class TestEventCoAnalysis:
         """The event kernel and the vectorized cycle engine run the same
         target to the same dichotomy, path count and cycle count."""
         event = analyze(AccumulatorTarget(netlist))
-        cycle = analyze(AccumulatorTarget(netlist), backend="cycle")
+        cycle = analyze(AccumulatorTarget(netlist), backend="serial")
         assert event.exercisable_gate_count == cycle.exercisable_gate_count
         assert (event.profile.exercisable_gates()
                 == cycle.profile.exercisable_gates())

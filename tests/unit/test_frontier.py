@@ -1,22 +1,21 @@
-"""Unit tests for the pluggable frontier scheduling strategies."""
+"""Unit tests for the frontier scheduling orders."""
 
 import pytest
 
 from repro.coanalysis.frontier import (FRONTIER_STRATEGIES,
                                        BreadthFirstFrontier,
-                                       DepthFirstFrontier, FrontierStrategy,
-                                       NoveltyFrontier, make_frontier)
+                                       DepthFirstFrontier, make_frontier)
 from repro.coanalysis.kernel import PendingPath
 from repro.sim.state import SimState
 
 import numpy as np
 
 
-def path(tag, depth=0, origin_pc=None):
+def path(tag):
     state = SimState(net_val=np.zeros(1, dtype=bool),
                      net_known=np.zeros(1, dtype=bool),
-                     memories={}, cycle=tag, pc=origin_pc)
-    return PendingPath(state, depth=depth, origin_pc=origin_pc)
+                     memories={}, cycle=tag, pc=None)
+    return PendingPath(state)
 
 
 def tags(paths):
@@ -31,13 +30,12 @@ class TestMakeFrontier:
         for name, cls in FRONTIER_STRATEGIES.items():
             assert isinstance(make_frontier(name), cls)
 
-    def test_instance_passthrough(self):
-        frontier = BreadthFirstFrontier()
-        assert make_frontier(frontier) is frontier
-
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown frontier strategy"):
-            make_frontier("random")
+        # "novelty" names a retired third order
+        for name in ("random", "novelty"):
+            with pytest.raises(ValueError,
+                               match="unknown frontier strategy"):
+                make_frontier(name)
 
     def test_registry_names_match_classes(self):
         for name, cls in FRONTIER_STRATEGIES.items():
@@ -84,41 +82,6 @@ class TestBreadthFirst:
         assert tags(f.pop_batch(None)) == [1, 2, 3]
 
 
-class TestNovelty:
-    def test_prefers_rare_origin_pcs(self):
-        f = NoveltyFrontier()
-        for _ in range(3):
-            f.observe_halt(100)          # pc 100 is well-trodden
-        f.push(path(1, depth=1, origin_pc=100))
-        f.push(path(2, depth=5, origin_pc=200))   # never seen: novel
-        assert tags(f.pop_batch(None)) == [2, 1]
-
-    def test_ties_break_by_depth_then_insertion(self):
-        f = NoveltyFrontier()
-        f.push(path(1, depth=3, origin_pc=7))
-        f.push(path(2, depth=1, origin_pc=7))
-        f.push(path(3, depth=1, origin_pc=7))
-        assert tags(f.pop_batch(None)) == [2, 3, 1]
-
-    def test_requeue_keeps_interrupted_schedule(self):
-        f = NoveltyFrontier()
-        for tag in (1, 2, 3):
-            f.push(path(tag, origin_pc=7))
-        batch = f.pop_batch(2)
-        f.requeue(batch)
-        assert tags(f.pop_batch(None)) == [1, 2, 3]
-
-    def test_meta_roundtrip(self):
-        f = NoveltyFrontier()
-        f.observe_halt(7)
-        f.observe_halt(7)
-        g = NoveltyFrontier()
-        g.restore_meta(f.snapshot_meta())
-        g.push(path(1, origin_pc=7))
-        g.push(path(2, origin_pc=9))
-        assert tags(g.pop_batch(None)) == [2, 1]
-
-
 class TestEntriesRoundTrip:
     """entries() must list paths so that re-push reproduces the order."""
 
@@ -126,13 +89,13 @@ class TestEntriesRoundTrip:
     def test_rebuild_preserves_schedule(self, name):
         f = make_frontier(name)
         for tag in (1, 2, 3, 4):
-            f.push(path(tag, depth=tag % 2, origin_pc=tag % 3))
+            f.push(path(tag))
         expected = tags(f.pop_batch(None))
 
         g = make_frontier(name)
         h = make_frontier(name)
         for tag in (1, 2, 3, 4):
-            g.push(path(tag, depth=tag % 2, origin_pc=tag % 3))
+            g.push(path(tag))
         for entry in g.entries():
             h.push(entry)
         assert tags(h.pop_batch(None)) == expected

@@ -247,6 +247,51 @@ def test_job_store_lists_manifests_stored_with_lanes(tmp_path):
         == [j.job_id for j in jobs[:2]]
 
 
+def _stored_manifest(job_id: str, frontier: str, created: float) -> dict:
+    """A QUEUED job manifest exactly as the service stored it while the
+    novelty frontier order still existed."""
+    return {
+        "kind": "job", "job": job_id, "state": "QUEUED",
+        "spec": {"design": "dr5", "benchmark": "mult", "csm": "uber",
+                 "engine": "serial", "frontier": frontier,
+                 "use_constraints": True, "deadline_seconds": None,
+                 "max_rss_mb": None, "max_frontier": None,
+                 "max_segments": None, "shard_segments": None,
+                 "submitter": "anon", "dedup": True,
+                 "resume_from": None},
+        "fingerprint": FP, "created": created, "started": None,
+        "finished": None, "attempts": 0, "retries": 0, "shards": 0,
+        "resume_next": False, "coalesced_into": None,
+        "cache_hit": False, "resume_of": None, "error": "",
+        "stop_reason": None, "stop_detail": "", "pending_paths": 0,
+        "summary": {}, "metrics": {}, "result": None, "artifacts": {},
+    }
+
+
+@pytest.mark.parametrize("frontier", ["dfs", "bfs"])
+def test_stored_manifest_naming_dfs_or_bfs_loads(frontier):
+    manifest = _stored_manifest("a" * 12, frontier, 1.0)
+    job = Job.from_manifest(manifest)
+    assert job.spec.frontier == frontier
+    assert job.to_manifest() == manifest
+
+
+def test_stored_manifest_naming_novelty_is_skipped(tmp_path):
+    with pytest.raises(JobSpecError, match="frontier 'novelty'"):
+        Job.from_manifest(_stored_manifest("n" * 12, "novelty", 1.0))
+    content = ContentStore(tmp_path / "store")
+    for offset, (job_id, frontier) in enumerate(
+            (("d" * 12, "dfs"), ("n" * 12, "novelty"), ("b" * 12, "bfs"))):
+        content.put_manifest(f"job-{job_id}",
+                             _stored_manifest(job_id, frontier, offset))
+    # the novelty manifest names a retired order: skipped as foreign,
+    # and unknown when asked for by id
+    store = JobStore(content)
+    assert [j.job_id for j in store.list_jobs()] == ["d" * 12, "b" * 12]
+    with pytest.raises(UnknownJob):
+        store.load("n" * 12)
+
+
 def test_job_store_skips_foreign_manifests(tmp_path):
     content = ContentStore(tmp_path / "store")
     store = JobStore(content)
