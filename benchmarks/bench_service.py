@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.reporting.runner import run_one
-from repro.service import Scheduler, SchedulerConfig
+from repro.service import Scheduler
 
 SPEC = {"design": "dr5", "benchmark": "mult"}
 DEDUP_BATCH = 3
@@ -69,8 +69,7 @@ def test_service_latency_and_dedup_throughput(tmp_path):
     direct_s = time.perf_counter() - t0
     assert direct.complete
 
-    with Scheduler(tmp_path / "store",
-                   SchedulerConfig(workers=2)) as sched:
+    with Scheduler(tmp_path / "store", workers=2) as sched:
         # -- cold: queue + spawn + run + verdict ----------------------------
         t0 = time.perf_counter()
         cold = sched.submit(dict(SPEC))

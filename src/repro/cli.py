@@ -28,6 +28,7 @@ from typing import List, Optional
 from .analysis import (analyze_coverage, analyze_peak_power,
                        compare_power, concrete_peak, timing_slack)
 from .bespoke import area_report, generate_bespoke, validate_bespoke
+from .coanalysis.engine import ENGINES
 from .coanalysis.frontier import FRONTIER_STRATEGIES
 from .coanalysis.results import CoAnalysisError, PartialResult
 from .resilience.artifacts import atomic_write_text
@@ -37,7 +38,7 @@ from .isa import ASSEMBLERS
 from .netlist import write_verilog
 from .reporting import (DESIGN_ORDER, figure5, figure6, run_grid, table3,
                         table4)
-from .reporting.runner import ENGINES, run_one
+from .reporting.runner import run_one
 from .sim.vcd import VcdWriter
 from .workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 
@@ -341,19 +342,14 @@ def cmd_store(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service import (DEFAULT_PORT, Scheduler, SchedulerConfig,
-                          ServiceAPI)
+    from .service import DEFAULT_PORT, Scheduler, ServiceAPI
     if args.port is None:
         args.port = DEFAULT_PORT
-    config = SchedulerConfig(workers=args.workers,
-                             max_retries=args.max_retries,
-                             shard_segments=args.shard_segments,
-                             quota_jobs=args.quota_jobs)
-    scheduler = Scheduler(Path(args.cache), config).start()
+    scheduler = Scheduler(Path(args.cache), workers=args.workers).start()
     api = ServiceAPI(scheduler, host=args.host, port=args.port,
                      verbose=args.verbose)
     print(f"# job service on {api.url} (store: {args.cache}, "
-          f"{config.workers} workers)", file=sys.stderr)
+          f"{args.workers} workers)", file=sys.stderr)
     try:
         api.serve_forever()
     except KeyboardInterrupt:
@@ -361,7 +357,7 @@ def cmd_serve(args) -> int:
               file=sys.stderr)
     finally:
         api.shutdown()
-        scheduler.stop(graceful=True)
+        scheduler.stop()
     return 0
 
 
@@ -375,8 +371,6 @@ def _job_row(view: dict) -> str:
         flags.append(f"=>{view['coalesced_into']}")
     if view.get("resume_of"):
         flags.append(f"resumes:{view['resume_of']}")
-    if view.get("shards"):
-        flags.append(f"shards:{view['shards']}")
     if view.get("stop_reason"):
         flags.append(f"stop:{view['stop_reason']}")
     return (f"{view.get('job', '?'):>14}  {state:<9} "
@@ -400,7 +394,6 @@ def cmd_submit(args) -> int:
             "max_rss_mb": args.max_rss_mb,
             "max_frontier": args.max_frontier,
             "max_segments": args.max_segments,
-            "shard_segments": args.shard_segments,
             "submitter": args.submitter,
             "dedup": not args.no_dedup,
             "resume_from": args.resume_from}
@@ -641,17 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=None,
                    help="TCP port (default: 8351)")
     p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="worker processes running jobs (default: 2)")
-    p.add_argument("--max-retries", type=int, default=1, metavar="N",
-                   help="re-dispatches after a worker dies without a "
-                        "verdict (default: 1)")
-    p.add_argument("--shard-segments", type=int, default=None,
-                   metavar="N",
-                   help="default work-stealing shard size: slice every "
-                        "job into N-segment frontier shards unless its "
-                        "spec says otherwise")
-    p.add_argument("--quota-jobs", type=int, default=None, metavar="N",
-                   help="max active (queued+running) jobs per submitter")
+                   help="jobs running at once, each in its own worker "
+                        "process (default: 2)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
     p.set_defaults(func=cmd_serve)
@@ -674,12 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rss-mb", type=float, default=None, metavar="MB")
     p.add_argument("--max-frontier", type=int, default=None, metavar="N")
     p.add_argument("--max-segments", type=int, default=None, metavar="N")
-    p.add_argument("--shard-segments", type=int, default=None,
-                   metavar="N",
-                   help="run as resumable N-segment frontier shards "
-                        "(work-stealing units) instead of one dispatch")
     p.add_argument("--submitter", default="cli",
-                   help="tenant name for quota accounting")
+                   help="label recorded on the job")
     p.add_argument("--no-dedup", action="store_true",
                    help="force a fresh execution even when an identical "
                         "job is in flight or already done")

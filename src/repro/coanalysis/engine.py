@@ -44,6 +44,10 @@ from .kernel import ExplorationKernel
 from .results import CoAnalysisResult
 from .target import SymbolicTarget
 
+#: the engine names ``backend`` takes -- and ``run_one``, the CLI, job
+#: specs, checkpoints and fingerprints with it
+ENGINES = ("serial", "event", "batch")
+
 
 class CoAnalysisEngine:
     """Runs Algorithm 1 on one (application, design) pair."""
@@ -63,6 +67,9 @@ class CoAnalysisEngine:
                  backend: str = "serial",
                  budget=None,
                  segment_cache=None):
+        if backend not in ENGINES:
+            raise ValueError(f"unknown backend {backend!r}; known: "
+                             + ", ".join(map(repr, ENGINES)))
         self.target = target
         self.csm = csm or ConservativeStateManager()
         self.max_cycles_per_path = max_cycles_per_path

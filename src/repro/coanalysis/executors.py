@@ -45,9 +45,6 @@ class SerialExecutor(SimBackend):
     def __init__(self, target: SymbolicTarget,
                  cycle_observer=None,
                  backend: str = "serial"):
-        if backend not in ("serial", "event"):
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"known: 'serial', 'event'")
         self.target = target
         self.netlist = target.netlist
         self.design = target.name

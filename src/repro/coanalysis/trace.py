@@ -98,8 +98,8 @@ class JsonlTraceSink(TraceSink):
     """Appends one JSON object per event to ``path`` (JSON Lines).
 
     ``mode="a"`` continues an existing file instead of truncating it --
-    a resumed (or re-sharded) run then leaves one trace whose ``resume``
-    events mark each attempt boundary.
+    a resumed run then leaves one trace whose ``resume`` events mark
+    each attempt boundary.
     """
 
     def __init__(self, path, mode: str = "w"):

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
-from ..coanalysis.engine import CoAnalysisEngine
+from ..coanalysis.engine import ENGINES, CoAnalysisEngine
 from ..coanalysis.results import CoAnalysisResult
 from ..coanalysis.trace import JsonlTraceSink, ProgressLine, Tracer
 from ..csm.constraints import ConstraintSet, parse_constraints
@@ -35,8 +35,6 @@ from ..store import ContentStore, RunFingerprint, SegmentResultCache, \
 from ..workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 
 DESIGN_ORDER = ["bm32", "omsp430", "dr5"]     # paper table column order
-
-ENGINES = ("serial", "event", "batch")
 
 
 def _make_tracer(trace, progress: bool) -> Optional[Tracer]:

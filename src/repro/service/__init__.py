@@ -1,18 +1,15 @@
 """Co-analysis job service: queued, observable, deduplicated runs.
 
-The scaling story so far made one run fast (batched lanes), durable
-(checkpoints, governor) and addressable (the content store).  This
-package turns those runs into a *service*: many tenants submit
-(design, benchmark, CSM, engine) specs, a scheduler dedupes and shards
-them across supervised worker processes, and every outcome -- including
-partial ones -- is a manifest in the store that survives restarts.
+Clients submit (design, benchmark, CSM, engine) specs; a scheduler
+dedupes them and runs each remaining job in its own supervised worker
+process, and every outcome -- including partial ones -- is a manifest
+in the store that survives restarts.
 
 * :mod:`repro.service.jobs` -- the :class:`JobSpec`/:class:`Job` model
   and its state machine, persisted through :class:`JobStore`;
-* :mod:`repro.service.scheduler` -- the asyncio :class:`Scheduler`:
-  fingerprint dedup (in-flight coalescing + store-served results), a
-  multiprocessing worker pool with work-stealing over pending frontier
-  shards, retry/resume for dead workers;
+* :mod:`repro.service.scheduler` -- the :class:`Scheduler`:
+  fingerprint dedup (in-flight coalescing + store-served results), one
+  spawned worker process per job, retry/resume for dead workers;
 * :mod:`repro.service.api` -- the dependency-free HTTP API
   (:class:`ServiceAPI`) and :class:`ServiceClient`, behind
   ``repro serve`` / ``repro submit`` / ``repro jobs``.
@@ -20,12 +17,12 @@ partial ones -- is a manifest in the store that survives restarts.
 
 from .jobs import (JOB_STATES, TERMINAL_STATES, Job, JobSpec, JobSpecError,
                    JobStateError, JobStore, UnknownJob)
-from .scheduler import QuotaExceeded, Scheduler, SchedulerConfig
+from .scheduler import Scheduler
 from .api import DEFAULT_PORT, ServiceAPI, ServiceClient, ServiceError
 
 __all__ = [
     "JOB_STATES", "TERMINAL_STATES", "Job", "JobSpec", "JobSpecError",
     "JobStateError", "JobStore", "UnknownJob",
-    "QuotaExceeded", "Scheduler", "SchedulerConfig",
+    "Scheduler",
     "DEFAULT_PORT", "ServiceAPI", "ServiceClient", "ServiceError",
 ]

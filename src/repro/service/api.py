@@ -31,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, List, Optional
 
 from .jobs import JobSpecError, JobStateError, UnknownJob
-from .scheduler import QuotaExceeded, Scheduler
+from .scheduler import Scheduler
 
 #: default TCP port for ``repro serve``
 DEFAULT_PORT = 8351
@@ -97,8 +97,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._route_post()
         except JobSpecError as exc:
             self._send_error_json(400, str(exc))
-        except QuotaExceeded as exc:
-            self._send_error_json(429, str(exc))
         except UnknownJob as exc:
             self._send_error_json(404, f"unknown job: {exc}")
         except JobStateError as exc:
@@ -115,10 +113,10 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["metrics"]:
             self._send_json(self.scheduler.metrics())
         elif parts == ["jobs"]:
-            self._send_json({"jobs": [job.public_view() for job
+            self._send_json({"jobs": [job.to_manifest() for job
                                       in self.scheduler.list_jobs()]})
         elif len(parts) == 2 and parts[0] == "jobs":
-            self._send_json(self.scheduler.get(parts[1]).public_view())
+            self._send_json(self.scheduler.get(parts[1]).to_manifest())
         elif len(parts) == 3 and parts[0] == "jobs" \
                 and parts[2] == "artifacts":
             self._get_artifacts(parts[1])
@@ -132,10 +130,10 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         if parts == ["jobs"]:
             job = self.scheduler.submit(self._read_body())
-            self._send_json(job.public_view(), status=202)
+            self._send_json(job.to_manifest(), status=202)
         elif len(parts) == 3 and parts[0] == "jobs" \
                 and parts[2] == "cancel":
-            self._send_json(self.scheduler.cancel(parts[1]).public_view())
+            self._send_json(self.scheduler.cancel(parts[1]).to_manifest())
         else:
             self._send_error_json(404, f"no route for {self.path}")
 
@@ -312,9 +310,9 @@ class ServiceClient:
             raise ServiceError(f"service unreachable at {self.url}: "
                                f"{exc}") from None
 
-    def wait(self, job_id: str, timeout: Optional[float] = None,
-             poll: float = 0.2) -> Dict:
-        """Poll until the job is terminal; returns its final manifest."""
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Dict:
+        """Poll every 0.2 s until the job is terminal; returns its final
+        manifest."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             view = self.job(job_id)
@@ -324,4 +322,4 @@ class ServiceClient:
             if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(f"job {job_id} still "
                                    f"{view.get('state')} after {timeout}s")
-            time.sleep(poll)
+            time.sleep(0.2)

@@ -1,7 +1,7 @@
 """The job model: specs, the state machine, and persistence.
 
 A *job* is one requested co-analysis run.  Its :class:`JobSpec` is the
-user-facing configuration (what to run, under which budgets, for whom);
+user-facing configuration (what to run, under which budgets);
 the spec's run-affecting subset maps onto a
 :func:`~repro.store.fingerprint.run_fingerprint` digest, which is what
 the scheduler dedupes on -- two specs with equal fingerprints request
@@ -17,8 +17,7 @@ State machine::
 
     QUEUED --> RUNNING --> DONE | FAILED | CANCELLED | PARTIAL
        |          |
-       |          +--> QUEUED      (retry after a lost worker, or the
-       |                            next frontier shard of a sharded run)
+       |          +--> QUEUED      (retry after a lost worker)
        +--> CANCELLED | DONE | FAILED | PARTIAL
                                    (cancel while queued; coalesced
                                     followers adopt their primary's
@@ -37,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..coanalysis.engine import ENGINES
 from ..coanalysis.frontier import FRONTIER_STRATEGIES
 from ..csm import CSM_STRATEGIES
 from ..resilience.governor import RunBudget
@@ -80,8 +80,7 @@ class JobSpec:
 
     The run-shaped fields (design .. ``use_constraints``) feed the run
     fingerprint; the budget fields govern the execution without changing
-    what is computed; ``shard_segments`` slices the run into resumable
-    frontier shards; ``submitter``/``dedup``/``resume_from`` are
+    what is computed; ``submitter``/``dedup``/``resume_from`` are
     service-level routing.
     """
 
@@ -91,16 +90,13 @@ class JobSpec:
     engine: str = "serial"
     frontier: str = "dfs"
     use_constraints: bool = True
-    # -- per-job RunBudget quotas ------------------------------------------
+    # -- per-job RunBudget limits ------------------------------------------
     deadline_seconds: Optional[float] = None
     max_rss_mb: Optional[float] = None
     max_frontier: Optional[int] = None
     max_segments: Optional[int] = None
-    #: run at most this many segments per worker dispatch; a run that
-    #: trips it re-enqueues as a pending frontier shard (work-stealing
-    #: unit) instead of ending PARTIAL
-    shard_segments: Optional[int] = None
     # -- service routing ----------------------------------------------------
+    #: free-form label of who submitted the job (recorded, not enforced)
     submitter: str = "anon"
     dedup: bool = True
     #: id of a PARTIAL job whose checkpoint this submission continues
@@ -132,7 +128,6 @@ class JobSpec:
         return spec
 
     def validate(self) -> None:
-        from ..reporting.runner import ENGINES
         from ..workloads import WORKLOAD_ORDER
         if self.design not in DESIGNS:
             raise JobSpecError(f"unknown design {self.design!r}; "
@@ -147,7 +142,7 @@ class JobSpec:
         if self.frontier not in FRONTIER_STRATEGIES:
             raise JobSpecError(f"unknown frontier {self.frontier!r}")
         for name in ("deadline_seconds", "max_rss_mb", "max_frontier",
-                     "max_segments", "shard_segments"):
+                     "max_segments"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise JobSpecError(f"{name} must be positive, "
@@ -173,12 +168,12 @@ class JobSpec:
 
     def dedup_key(self) -> tuple:
         """What in-flight coalescing requires to match: the run
-        fingerprint inputs *plus* the budget/shard envelope -- a
+        fingerprint inputs *plus* the budget envelope -- a
         deadline-capped submission must not adopt an uncapped run's
         slot, nor vice versa."""
         return self.fingerprint_key() + (
             self.deadline_seconds, self.max_rss_mb, self.max_frontier,
-            self.max_segments, self.shard_segments)
+            self.max_segments)
 
     def compute_fingerprint(self) -> str:
         """The run-fingerprint digest this spec maps to (builds the
@@ -200,12 +195,14 @@ def _strip_retired_fields(raw: Dict) -> Dict:
     had a lane width carry ``"lanes": null``, or ``64`` on the batch
     engine (its one plane word).  Any other value named a removed
     configuration and stays an unknown field, so the manifest is
-    skipped as foreign.
+    skipped as foreign.  ``shard_segments`` goes whatever its value:
+    it only sliced a run into dispatches, never changed its answer.
     """
     lanes = (None, 64) if raw.get("engine") == "batch" else (None,)
     return {k: v for k, v in raw.items()
             if not ((k == "workers" and v == 1)
-                    or (k == "lanes" and v in lanes))}
+                    or (k == "lanes" and v in lanes)
+                    or k == "shard_segments")}
 
 
 @dataclass
@@ -219,12 +216,10 @@ class Job:
     created: float = 0.0
     started: Optional[float] = None
     finished: Optional[float] = None
-    #: worker launches (first dispatch + retries + shard continuations)
+    #: worker launches (first dispatch + retries)
     attempts: int = 0
     #: launches lost to a dead worker (bounded by the retry budget)
     retries: int = 0
-    #: frontier shards completed so far (sharded runs only)
-    shards: int = 0
     #: the next dispatch resumes this job's checkpoint journal
     resume_next: bool = False
     #: primary job this (duplicate) submission coalesced onto
@@ -281,7 +276,6 @@ class Job:
             "finished": self.finished,
             "attempts": self.attempts,
             "retries": self.retries,
-            "shards": self.shards,
             "resume_next": self.resume_next,
             "coalesced_into": self.coalesced_into,
             "cache_hit": self.cache_hit,
@@ -311,7 +305,6 @@ class Job:
         job.finished = manifest.get("finished")
         job.attempts = int(manifest.get("attempts", 0))
         job.retries = int(manifest.get("retries", 0))
-        job.shards = int(manifest.get("shards", 0))
         job.resume_next = bool(manifest.get("resume_next", False))
         job.coalesced_into = manifest.get("coalesced_into")
         job.cache_hit = bool(manifest.get("cache_hit", False))
@@ -325,11 +318,6 @@ class Job:
         job.result_digest = manifest.get("result")
         job.artifacts = dict(manifest.get("artifacts") or {})
         return job
-
-    def public_view(self) -> Dict:
-        """The manifest, as the API serves it (identical today; the
-        indirection keeps internal fields free to diverge)."""
-        return self.to_manifest()
 
 
 class JobStore:

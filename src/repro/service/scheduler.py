@@ -1,28 +1,23 @@
-"""The asyncio job scheduler: dedup, worker pool, shard work-stealing.
+"""The job scheduler: dedup, one spawned worker per job, supervision.
 
-One event loop owns the queue.  Submissions land (from any thread --
-the HTTP handlers run in their own) under a lock; the loop fills free
-worker slots from a shared runnable deque and supervises each launched
-worker with an asyncio task.  Three properties do the scaling work:
+One loop thread owns dispatch.  Submissions land (from any thread --
+the HTTP handlers run in their own) under a lock; every
+:data:`POLL_INTERVAL` the loop fills free worker slots from the
+runnable deque, then reaps the workers that have exited.  Each job
+runs in its own spawned process.  Two properties do the work:
 
 * **Dedup.**  Submissions are keyed by their run fingerprint.  An
   identical spec already in flight coalesces (one execution, every
   follower adopts its outcome); a fingerprint already DONE in the store
-  is served without running at all.  Either way the Nth identical
-  submission costs O(manifest write), which is what makes "millions of
-  users" mostly a cache problem.
-* **Shards + work-stealing.**  A spec with ``shard_segments`` runs as a
-  sequence of governed slices: each dispatch explores at most that many
-  segments, checkpoints, and re-enqueues at the *front* of the runnable
-  deque as a pending frontier shard.  Any idle worker steals the next
-  shard -- a long run no longer pins one worker, it time-shares the
-  pool with everything else in the queue.
-* **Supervision.**  Workers run the whole PR 1/PR 5 stack: a per-job
+  is served without running at all.  Either way a repeated submission
+  costs a manifest write, not a simulation.
+* **Supervision.**  A per-job
   :class:`~repro.resilience.governor.RunGovernor` turns SIGTERM and
   budget trips into checkpointed PARTIALs (the worker exits cleanly
   with a verdict manifest), and a worker that dies without a verdict is
-  retried with ``resume=True`` against its own checkpoint before the
-  job is declared PARTIAL (resumable) or FAILED.
+  retried (:data:`MAX_RETRIES`) with ``resume=True`` against its own
+  checkpoint before the job is declared PARTIAL (resumable) or FAILED.
+  A worker that cannot even start fails its job, not the loop.
 
 Workers communicate results through the store, not pipes: each attempt
 writes an atomic ``jobresult-<id>`` manifest stamped with its attempt
@@ -33,7 +28,6 @@ trusting a stale verdict.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import shutil
 import threading
@@ -44,39 +38,22 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
 from ..store import ContentStore, StoreError
-from .jobs import (Job, JobSpec, JobStore, TERMINAL_STATES, UnknownJob)
+from .jobs import Job, JobSpec, JobStore, UnknownJob
 
 
-#: event-loop poll period, seconds
+#: dispatch-loop poll period (also :meth:`Scheduler.wait`'s), seconds
 POLL_INTERVAL = 0.05
 #: multiprocessing start method (spawn: no inherited state)
 MP_CONTEXT = "spawn"
 #: per-job detail rows kept for the /metrics endpoint
 METRICS_JOBS_KEPT = 50
-
-
-class QuotaExceeded(RuntimeError):
-    """A submitter is over their queued-jobs quota."""
-
-
-@dataclass
-class SchedulerConfig:
-    """Operational knobs for one :class:`Scheduler`."""
-
-    #: worker processes running jobs concurrently
-    workers: int = 2
-    #: re-dispatches allowed after a worker dies without a verdict
-    max_retries: int = 1
-    #: default ``shard_segments`` applied to specs that set none
-    shard_segments: Optional[int] = None
-    #: max QUEUED+RUNNING jobs per submitter (None = unlimited)
-    quota_jobs: Optional[int] = None
+#: re-dispatches allowed after a worker dies without a verdict
+MAX_RETRIES = 1
 
 
 def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
-                 resume: bool, attempt: int,
-                 shard_segments: Optional[int]) -> None:
-    """Worker-process entry point: run one job (or one shard of it).
+                 resume: bool, attempt: int) -> None:
+    """Worker-process entry point: run one job.
 
     Runs the full ``run_one`` stack -- segment cache against the shared
     store, checkpoint journal and JSONL trace in the job directory, a
@@ -91,7 +68,6 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
     from ..coanalysis.trace import JsonlTraceSink
     from ..csm import CSM_STRATEGIES
     from ..reporting.runner import run_one
-    from ..resilience.checkpoint import load_checkpoint
     from ..resilience.governor import RunBudget, RunGovernor
 
     spec = JobSpec.from_dict(spec_dict)
@@ -102,30 +78,9 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
     ckpt = job_store.checkpoint_path(job_id)
     trace_path = job_store.trace_path(job_id)
 
-    budget = spec.budget()
-    if shard_segments:
-        # a shard's segment cap is *relative* to what the journal
-        # already holds, so shard N+1 actually advances the frontier
-        base = 0
-        if resume:
-            try:
-                from ..resilience.checkpoint import decode_run_payload
-                payload = load_checkpoint(ckpt)
-                if payload is not None:
-                    base = len(decode_run_payload(payload)["path_records"])
-            except Exception:
-                base = 0
-        cap = base + shard_segments
-        if budget is not None and budget.max_segments is not None:
-            cap = min(cap, budget.max_segments)
-        budget = RunBudget(
-            deadline_seconds=getattr(budget, "deadline_seconds", None),
-            max_rss_mb=getattr(budget, "max_rss_mb", None),
-            max_frontier=getattr(budget, "max_frontier", None),
-            max_segments=cap)
     # always govern service work: even an unlimited job must turn
     # SIGTERM into a checkpointed PARTIAL, not a dead worker
-    governor = RunGovernor(budget or RunBudget())
+    governor = RunGovernor(spec.budget() or RunBudget())
 
     verdict: Dict[str, object] = {"kind": "jobresult", "job": job_id,
                                   "attempt": attempt}
@@ -173,18 +128,19 @@ class _Running:
 
 
 class Scheduler:
-    """Owns the queue, the worker pool, and every job's lifecycle.
+    """Owns the queue, the worker processes, and every job's lifecycle.
 
+    ``workers`` is how many jobs run at once, each in its own process.
     Thread-safe: ``submit``/``cancel``/``get``/``metrics`` may be
-    called from any thread (the HTTP handlers do); the asyncio loop
+    called from any thread (the HTTP handlers do); the dispatch loop
     runs in a background thread started by :meth:`start`.
     """
 
-    def __init__(self, store, config: Optional[SchedulerConfig] = None):
+    def __init__(self, store, workers: int = 2):
         self.store = store if isinstance(store, ContentStore) \
             else ContentStore(Path(store))
         self.job_store = JobStore(self.store)
-        self.config = config or SchedulerConfig()
+        self.workers = workers
         self._ctx = multiprocessing.get_context(MP_CONTEXT)
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
@@ -200,21 +156,18 @@ class Scheduler:
         #: builds the whole target netlist)
         self._fp_cache: Dict[tuple, str] = {}
         self.counters = {"submitted": 0, "executed": 0, "coalesced": 0,
-                         "cache_served": 0, "retries": 0, "shards": 0,
+                         "cache_served": 0, "retries": 0,
                          "segment_cache_hits": 0,
                          "segment_cache_misses": 0}
         self._stop_requested = False
-        self._graceful = True
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
 
     # -- submission ----------------------------------------------------------
     def submit(self, spec) -> Job:
         """Queue (or dedup) one submission; returns its :class:`Job`.
 
         Raises :class:`~repro.service.jobs.JobSpecError` on a bad spec,
-        :class:`QuotaExceeded` over quota, :class:`UnknownJob` for a
-        ``resume_from`` that does not exist.
+        :class:`UnknownJob` for a ``resume_from`` that does not exist.
         """
         if not isinstance(spec, JobSpec):
             spec = JobSpec.from_dict(spec)
@@ -233,7 +186,6 @@ class Scheduler:
                 "dedup": False,
                 "resume_from": spec.resume_from})
         with self._lock:
-            self._check_quota(spec.submitter)
             fingerprint = self._fingerprint(spec)
             job = Job.new(spec, fingerprint)
             self.counters["submitted"] += 1
@@ -262,18 +214,6 @@ class Scheduler:
                 self._inflight[spec.dedup_key()] = job.job_id
             self.job_store.save(job)
             return job
-
-    def _check_quota(self, submitter: str) -> None:
-        quota = self.config.quota_jobs
-        if quota is None:
-            return
-        active = sum(1 for job in self._jobs.values()
-                     if job.spec.submitter == submitter
-                     and not job.terminal)
-        if active >= quota:
-            raise QuotaExceeded(
-                f"submitter {submitter!r} already has {active} active "
-                f"job(s); quota is {quota}")
 
     def _fingerprint(self, spec: JobSpec) -> str:
         key = spec.fingerprint_key()
@@ -348,8 +288,7 @@ class Scheduler:
             known.setdefault(job.job_id, job)
         return sorted(known.values(), key=lambda j: j.created)
 
-    def wait(self, job_id: str, timeout: Optional[float] = None,
-             poll: float = 0.05) -> Job:
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
         """Block until ``job_id`` reaches a terminal state."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -359,7 +298,7 @@ class Scheduler:
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {job.state} after {timeout}s")
-            time.sleep(poll)
+            time.sleep(POLL_INTERVAL)
 
     def metrics(self) -> Dict:
         """The /metrics payload: queue, utilization, dedup, cache."""
@@ -387,9 +326,9 @@ class Scheduler:
             return {
                 "queue_depth": len(self._runnable),
                 "running": len(self._running),
-                "workers": self.config.workers,
+                "workers": self.workers,
                 "worker_utilization": (len(self._running)
-                                       / max(1, self.config.workers)),
+                                       / max(1, self.workers)),
                 "jobs_by_state": by_state,
                 "counters": dict(self.counters),
                 "dedup_hit_ratio": (dedup_hits / submitted
@@ -427,12 +366,12 @@ class Scheduler:
                 followers = self._followers.get(job.coalesced_into, [])
                 if job_id in followers:
                     followers.remove(job_id)
-            self._release_inflight(job)
             job.advance("CANCELLED")
+            self._settle(job)          # its own duplicates end with it
             self.job_store.save(job)
             return job
 
-    # -- the event loop ------------------------------------------------------
+    # -- the dispatch loop ---------------------------------------------------
     def start(self) -> "Scheduler":
         """Recover persisted queue state and start the loop thread."""
         if self._thread is not None:
@@ -442,20 +381,13 @@ class Scheduler:
                                         name="repro-scheduler",
                                         daemon=True)
         self._thread.start()
-        self._started.wait(5.0)
         return self
 
-    def stop(self, graceful: bool = True,
-             timeout: Optional[float] = 30.0) -> None:
-        """Stop dispatching and wind the pool down.
-
-        ``graceful`` SIGTERMs running workers so each checkpoints and
-        ends PARTIAL (resumable); otherwise they are killed and their
-        jobs settle from whatever checkpoint survives.
-        """
+    def stop(self, timeout: Optional[float] = 30.0) -> None:
+        """Stop dispatching and drain: every running worker is SIGTERMed,
+        checkpoints, and its job ends PARTIAL (resumable)."""
         with self._lock:
             self._stop_requested = True
-            self._graceful = graceful
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
@@ -469,9 +401,9 @@ class Scheduler:
     def recover(self) -> None:
         """Rebuild queue state from the store after a restart."""
         with self._lock:
-            for job in self.job_store.list_jobs():
-                if job.job_id in self._jobs:
-                    continue
+            stored = {job.job_id: job for job in self.job_store.list_jobs()
+                      if job.job_id not in self._jobs}
+            for job in stored.values():
                 if job.state == "DONE" and job.result_digest:
                     self._done_by_fp.setdefault(job.fingerprint,
                                                 job.job_id)
@@ -495,12 +427,20 @@ class Scheduler:
                                     "no checkpoint to resume"
                         job.advance("FAILED")
                     self.job_store.save(job)
+            # coalesced followers last, once their primaries are settled
+            # or queued: the follower lists lived only in memory
+            for job in stored.values():
+                primary = stored.get(job.coalesced_into)
+                if job.state != "QUEUED" or primary is None:
+                    continue
+                self._jobs[job.job_id] = job
+                if primary.terminal:
+                    self._adopt(job, primary)
+                else:
+                    self._followers.setdefault(primary.job_id,
+                                               []).append(job.job_id)
 
     def _run_loop(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._started.set()
         signaled = False
         while True:
             with self._lock:
@@ -512,10 +452,7 @@ class Scheduler:
                 signaled = True
                 for _, entry in running:
                     try:
-                        if self._graceful:
-                            entry.proc.terminate()
-                        else:
-                            entry.proc.kill()
+                        entry.proc.terminate()
                     except (OSError, ValueError):
                         pass
             finished = [(job_id, entry) for job_id, entry in running
@@ -526,10 +463,10 @@ class Scheduler:
             with self._lock:
                 if self._stop_requested and not self._running:
                     return
-            await asyncio.sleep(POLL_INTERVAL)
+            time.sleep(POLL_INTERVAL)
 
     def _fill_slots(self) -> None:
-        while len(self._running) < self.config.workers and self._runnable:
+        while len(self._running) < self.workers and self._runnable:
             job_id = self._runnable.popleft()
             job = self._jobs.get(job_id)
             if job is None or job.state != "QUEUED":
@@ -538,13 +475,23 @@ class Scheduler:
 
     def _dispatch(self, job: Job) -> None:
         job.attempts += 1
-        shard = job.spec.shard_segments or self.config.shard_segments
         proc = self._ctx.Process(
             target=_execute_job,
             args=(str(self.store.root), job.job_id, job.spec.to_dict(),
-                  job.resume_next, job.attempts, shard),
+                  job.resume_next, job.attempts),
             name=f"repro-job-{job.job_id}", daemon=False)
-        proc.start()
+        try:
+            proc.start()
+        except Exception as exc:      # noqa: BLE001 -- the loop must live
+            # e.g. EAGAIN from the OS, or spawn's bootstrap error in a
+            # script without a __main__ guard: this job fails, and the
+            # loop goes on dispatching the rest
+            job.error = (f"worker could not start: "
+                         f"{type(exc).__name__}: {exc}")
+            job.advance("FAILED")
+            self._settle(job)
+            self.job_store.save(job)
+            return
         self._running[job.job_id] = _Running(proc=proc,
                                              attempt=job.attempts)
         self.counters["executed"] += 1
@@ -595,26 +542,7 @@ class Scheduler:
             # surface it as the cancellation it was
             job.advance("CANCELLED")
             return
-        if state == "PARTIAL" and job.stop_reason == "segments" \
-                and not entry.cancel_requested \
-                and self._shard_should_continue(job):
-            # one frontier shard done: back on the deque, at the front,
-            # so idle workers steal pending shards before new jobs
-            job.shards += 1
-            job.resume_next = True
-            self.counters["shards"] += 1
-            job.advance("QUEUED")
-            self._runnable.appendleft(job.job_id)
-            return
         job.advance(state)
-
-    def _shard_should_continue(self, job: Job) -> bool:
-        shard = job.spec.shard_segments or self.config.shard_segments
-        if not shard:
-            return False
-        explored = job.metrics.get("paths_explored", 0)
-        cap = job.spec.max_segments
-        return cap is None or explored < cap
 
     def _finish_lost_worker(self, job: Job, entry: _Running) -> None:
         """No verdict: the worker was killed outright."""
@@ -625,7 +553,7 @@ class Scheduler:
             job.error = f"worker terminated before checkpointing " \
                         f"(exit {exitcode})"
             return
-        if job.retries < self.config.max_retries:
+        if job.retries < MAX_RETRIES:
             job.retries += 1
             job.resume_next = has_ckpt
             self.counters["retries"] += 1
@@ -662,18 +590,22 @@ class Scheduler:
             self._done_by_fp[job.fingerprint] = job.job_id
         for follower_id in self._followers.pop(job.job_id, []):
             follower = self._jobs.get(follower_id)
-            if follower is None or follower.terminal:
-                continue
-            follower.summary = dict(job.summary)
-            follower.metrics = dict(job.metrics)
-            follower.error = job.error
-            follower.stop_reason = job.stop_reason
-            follower.stop_detail = job.stop_detail
-            follower.pending_paths = job.pending_paths
-            follower.result_digest = job.result_digest
-            follower.artifacts = dict(job.artifacts)
-            follower.advance(job.state)
-            self.job_store.save(follower)
+            if follower is not None and not follower.terminal:
+                self._adopt(follower, job)
+
+    def _adopt(self, follower: Job, primary: Job) -> None:
+        """Settle a coalesced follower with its terminal primary's
+        outcome."""
+        follower.summary = dict(primary.summary)
+        follower.metrics = dict(primary.metrics)
+        follower.error = primary.error
+        follower.stop_reason = primary.stop_reason
+        follower.stop_detail = primary.stop_detail
+        follower.pending_paths = primary.pending_paths
+        follower.result_digest = primary.result_digest
+        follower.artifacts = dict(primary.artifacts)
+        follower.advance(primary.state)
+        self.job_store.save(follower)
 
     def _release_inflight(self, job: Job) -> None:
         key = job.spec.dedup_key()

@@ -155,14 +155,6 @@ class ContentStore:
             raise StoreCorrupt(f"manifest {name!r} is not a JSON object")
         return manifest
 
-    def delete_manifest(self, name: str) -> bool:
-        path = self.manifest_path(name)
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
-
     def manifest_names(self) -> List[str]:
         if not self.manifests_dir.is_dir():
             return []

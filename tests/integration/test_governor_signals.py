@@ -14,12 +14,14 @@ import time
 
 import pytest
 
-from repro.service import Scheduler, SchedulerConfig
+from repro.service import Scheduler
 
 pytestmark = pytest.mark.timeout(600)
 
-#: bm32/Div: 67 paths, a few seconds of work -- wide enough to signal
-LONG_SPEC = {"design": "bm32", "benchmark": "Div"}
+#: bm32/Div on the event engine: 67 paths, several seconds of work
+#: (the serial engine finishes in a fraction of one), with a checkpoint
+#: every 16 segments -- long enough to signal mid-exploration
+LONG_SPEC = {"design": "bm32", "benchmark": "Div", "engine": "event"}
 
 
 def _signal_running_worker(sched, job_id, signum, require_checkpoint,
@@ -45,11 +47,8 @@ def _signal_running_worker(sched, job_id, signum, require_checkpoint,
 
 
 def test_sigterm_in_pool_child_yields_partial_not_dead_scheduler(tmp_path):
-    with Scheduler(tmp_path / "store",
-                   SchedulerConfig(workers=2, max_retries=0)) as sched:
-        # shard the run so checkpoints exist early and dispatches are
-        # plentiful: SIGTERM is guaranteed to land mid-exploration
-        job = sched.submit({**LONG_SPEC, "shard_segments": 10})
+    with Scheduler(tmp_path / "store", workers=2) as sched:
+        job = sched.submit(dict(LONG_SPEC))
         landed = _signal_running_worker(sched, job.job_id, signal.SIGTERM,
                                         require_checkpoint=True)
         assert landed, "job finished before SIGTERM could be delivered"
@@ -75,9 +74,8 @@ def test_sigterm_in_pool_child_yields_partial_not_dead_scheduler(tmp_path):
 
 
 def test_sigkill_retries_then_partial_with_checkpoint(tmp_path):
-    with Scheduler(tmp_path / "store",
-                   SchedulerConfig(workers=1, max_retries=1)) as sched:
-        job = sched.submit({**LONG_SPEC, "shard_segments": 10})
+    with Scheduler(tmp_path / "store", workers=1) as sched:
+        job = sched.submit(dict(LONG_SPEC))
         kills = 0
         while kills < 2:             # first kill consumes the one retry
             if not _signal_running_worker(sched, job.job_id,
@@ -102,9 +100,8 @@ def test_sigkill_retries_then_partial_with_checkpoint(tmp_path):
 
 
 def test_cancel_running_job_checkpoints_and_cancels(tmp_path):
-    with Scheduler(tmp_path / "store",
-                   SchedulerConfig(workers=1)) as sched:
-        job = sched.submit({**LONG_SPEC, "shard_segments": 10})
+    with Scheduler(tmp_path / "store", workers=1) as sched:
+        job = sched.submit(dict(LONG_SPEC))
         # wait for a live worker, then cancel through the scheduler
         deadline = time.monotonic() + 240
         while sched._running.get(job.job_id) is None:

@@ -8,13 +8,16 @@ HTTP layer: submit/status/cancel/artifacts/trace/metrics over a real
 socket, and restart recovery from nothing but the store.
 """
 
+import errno
+import os
 import time
+import types
 
 import pytest
 
 from repro.reporting.runner import run_one
-from repro.service import (Scheduler, SchedulerConfig, ServiceAPI,
-                           ServiceClient, ServiceError)
+from repro.service import (Scheduler, ServiceAPI, ServiceClient,
+                           ServiceError)
 from repro.service.jobs import JobSpecError
 
 pytestmark = pytest.mark.timeout(600)
@@ -40,7 +43,7 @@ def direct_result():
 def test_concurrent_identical_submissions_coalesce(engine, tmp_path,
                                                    direct_result):
     spec = {"design": "dr5", "benchmark": "mult", "engine": engine}
-    with Scheduler(tmp_path / "store", SchedulerConfig(workers=2)) as sched:
+    with Scheduler(tmp_path / "store", workers=2) as sched:
         first = sched.submit(dict(spec))
         second = sched.submit(dict(spec))       # identical, concurrent
         assert second.coalesced_into == first.job_id
@@ -66,22 +69,23 @@ def test_concurrent_identical_submissions_coalesce(engine, tmp_path,
 
 def test_restart_recovery_serves_done_from_store(tmp_path):
     root = tmp_path / "store"
-    with Scheduler(root, SchedulerConfig(workers=1)) as sched:
+    with Scheduler(root, workers=1) as sched:
         job = sched.submit({"design": "dr5", "benchmark": "mult"})
         sched.wait(job.job_id, timeout=300)
     # a brand-new scheduler on the same store: no re-execution
-    with Scheduler(root, SchedulerConfig(workers=1)) as fresh:
+    with Scheduler(root, workers=1) as fresh:
         dup = fresh.submit({"design": "dr5", "benchmark": "mult"})
         assert dup.state == "DONE" and dup.cache_hit
         assert fresh.counters["executed"] == 0
 
 
-def _store_as_before_pool_removal(sched, job_id):
-    """Rewrite a job manifest in the shape stored while specs still had
-    a worker-pool size (every stored spec carried ``"workers": 1``)."""
+def _restore_manifest(sched, job_id, spec_fields, **fields):
+    """Rewrite a job manifest in the shape an older service stored:
+    ``spec_fields`` join its spec, ``fields`` its top level."""
     name = f"job-{job_id}"
     manifest = sched.store.get_manifest(name)
-    manifest["spec"] = dict(manifest["spec"], workers=1)
+    manifest["spec"] = dict(manifest["spec"], **spec_fields)
+    manifest.update(fields)
     sched.store.put_manifest(name, manifest)
 
 
@@ -91,17 +95,19 @@ def test_recovery_keeps_manifests_stored_with_workers(tmp_path,
     recover: a DONE one dedups a resubmission, a QUEUED one is
     re-enqueued and runs."""
     root = tmp_path / "store"
-    with Scheduler(root, SchedulerConfig(workers=1)) as sched:
+    with Scheduler(root, workers=1) as sched:
         done = sched.submit({"design": "dr5", "benchmark": "mult"})
         sched.wait(done.job_id, timeout=300)
     # a scheduler that is never started leaves its submission QUEUED
     idle = Scheduler(root)
     queued = idle.submit({"design": "dr5", "benchmark": "mult",
                           "dedup": False})
+    # every spec stored while specs had a worker-pool size carried
+    # ``"workers": 1``
     for job_id in (done.job_id, queued.job_id):
-        _store_as_before_pool_removal(idle, job_id)
+        _restore_manifest(idle, job_id, {"workers": 1})
 
-    with Scheduler(root, SchedulerConfig(workers=1)) as fresh:
+    with Scheduler(root, workers=1) as fresh:
         dup = fresh.submit({"design": "dr5", "benchmark": "mult"})
         assert dup.state == "DONE" and dup.cache_hit
         recovered = fresh.wait(queued.job_id, timeout=300)
@@ -126,27 +132,14 @@ def test_recovery_skips_manifests_naming_novelty(tmp_path):
     manifest["spec"] = dict(manifest["spec"], frontier="novelty")
     idle.store.put_manifest(name, manifest)
 
-    with Scheduler(root, SchedulerConfig(workers=1)) as fresh:
+    with Scheduler(root, workers=1) as fresh:
         assert fresh.wait(bfs.job_id, timeout=300).state == "DONE"
         assert [j.job_id for j in fresh.list_jobs()] == [bfs.job_id]
         assert fresh.counters["executed"] == 1
 
 
-def test_sharded_run_converges(tmp_path, direct_result):
-    """Work-stealing shards: many governed dispatches, one answer."""
-    with Scheduler(tmp_path / "store",
-                   SchedulerConfig(workers=2)) as sched:
-        job = sched.submit({"design": "dr5", "benchmark": "mult",
-                            "shard_segments": 3})
-        done = sched.wait(job.job_id, timeout=300)
-        assert done.state == "DONE"
-        assert done.shards >= 2                  # 9 paths / 3 per shard
-        result = sched.job_store.load_result(done)
-        assert_identical(direct_result, result)
-
-
 def test_http_api_round_trip(tmp_path):
-    with Scheduler(tmp_path / "store", SchedulerConfig(workers=2)) as sched:
+    with Scheduler(tmp_path / "store", workers=2) as sched:
         with ServiceAPI(sched, port=0) as api:
             client = ServiceClient(api.url)
             assert client.healthz() == {"ok": True}
@@ -155,10 +148,10 @@ def test_http_api_round_trip(tmp_path):
             with pytest.raises(ServiceError) as err:
                 client.submit({"design": "dr5"})
             assert err.value.status == 400
-            # ... and so is one naming the removed worker-pool engine
-            # or lane width
+            # ... and so is one naming the removed worker-pool engine,
+            # lane width or shard size
             for field, value in (("workers", 2), ("engine", "parallel"),
-                                 ("lanes", 64)):
+                                 ("lanes", 64), ("shard_segments", 10)):
                 with pytest.raises(ServiceError, match=field) as err:
                     client.submit({"design": "dr5", "benchmark": "mult",
                                    field: value})
@@ -192,10 +185,14 @@ def test_http_api_round_trip(tmp_path):
 def test_cancel_queued_job(tmp_path):
     # a scheduler that is never started dispatches nothing, so the
     # submission stays QUEUED and cancel settles it synchronously
-    sched = Scheduler(tmp_path / "store", SchedulerConfig(workers=1))
+    sched = Scheduler(tmp_path / "store", workers=1)
     job = sched.submit({"design": "dr5", "benchmark": "mult"})
+    dup = sched.submit({"design": "dr5", "benchmark": "mult"})
+    assert dup.coalesced_into == job.job_id
     cancelled = sched.cancel(job.job_id)
     assert cancelled.state == "CANCELLED"
+    # the duplicate coalesced onto it settles with it
+    assert sched.get(dup.job_id).state == "CANCELLED"
     # its dedup slot was released: the next submission runs fresh
     again = sched.submit({"design": "dr5", "benchmark": "mult"})
     assert again.state == "QUEUED" and again.coalesced_into is None
@@ -208,17 +205,106 @@ def test_submit_rejects_bad_spec(tmp_path):
                       "engine": "quantum"})
 
 
-def test_quota_limits_active_jobs_per_submitter(tmp_path):
-    from repro.service import QuotaExceeded
-    sched = Scheduler(tmp_path / "store",
-                      SchedulerConfig(workers=1, quota_jobs=2))
-    sched.submit({"design": "dr5", "benchmark": "mult",
-                  "submitter": "alice", "dedup": False})
-    sched.submit({"design": "dr5", "benchmark": "mult",
-                  "submitter": "alice", "dedup": False})
-    with pytest.raises(QuotaExceeded):
-        sched.submit({"design": "dr5", "benchmark": "mult",
-                      "submitter": "alice", "dedup": False})
-    # quotas are per-tenant: bob is unaffected
-    assert sched.submit({"design": "dr5", "benchmark": "mult",
-                         "submitter": "bob"}).state == "QUEUED"
+def test_recovery_runs_manifests_stored_with_shards(tmp_path,
+                                                    direct_result):
+    """Manifests stored while jobs could be sliced into frontier shards
+    still recover: QUEUED ones with ``shard_segments`` null or 10 run
+    unsharded to the direct answer, and a DONE one with a ``shards``
+    count dedups a resubmission."""
+    root = tmp_path / "store"
+    with Scheduler(root, workers=1) as sched:
+        done = sched.submit({"design": "dr5", "benchmark": "mult"})
+        sched.wait(done.job_id, timeout=300)
+    idle = Scheduler(root)      # never started: submissions stay QUEUED
+    queued = [idle.submit({"design": "dr5", "benchmark": "mult",
+                           "dedup": False}) for _ in range(2)]
+    _restore_manifest(idle, done.job_id, {"shard_segments": 3}, shards=2)
+    for job, shard in zip(queued, (None, 10)):
+        _restore_manifest(idle, job.job_id, {"shard_segments": shard},
+                          shards=0)
+
+    with Scheduler(root, workers=1) as fresh:
+        dup = fresh.submit({"design": "dr5", "benchmark": "mult"})
+        assert dup.state == "DONE" and dup.cache_hit
+        for job in queued:
+            recovered = fresh.wait(job.job_id, timeout=300)
+            assert recovered.state == "DONE"
+            assert_identical(direct_result,
+                             fresh.job_store.load_result(recovered))
+        assert fresh.counters["executed"] == 2
+
+
+def test_worker_that_cannot_start_fails_its_job_not_the_loop(tmp_path):
+    """A failed ``Process.start()`` (EAGAIN here) ends that job FAILED
+    with the error named, settles its coalesced duplicate, and the loop
+    keeps dispatching."""
+    sched = Scheduler(tmp_path / "store", workers=1)
+    ctx, launches = sched._ctx, []
+
+    def process(*args, **kwargs):
+        proc = ctx.Process(*args, **kwargs)
+        if not launches:             # the first launch hits EAGAIN
+            def refuse():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            proc.start = refuse
+        launches.append(proc)
+        return proc
+
+    sched._ctx = types.SimpleNamespace(Process=process)
+    spec = {"design": "dr5", "benchmark": "mult"}
+    # queued before the loop starts, so the duplicate coalesces
+    first = sched.submit(dict(spec))
+    dup = sched.submit(dict(spec))
+    assert dup.coalesced_into == first.job_id
+    with sched:
+        failed = sched.wait(first.job_id, timeout=60)
+        assert failed.state == "FAILED"
+        assert failed.attempts == 1
+        assert failed.error.startswith("worker could not start: ")
+        assert os.strerror(errno.EAGAIN) in failed.error
+        follower = sched.wait(dup.job_id, timeout=60)
+        assert follower.state == "FAILED"
+        assert follower.error == failed.error
+        # the loop outlived the failure: the next submission runs
+        again = sched.submit(dict(spec))
+        assert sched.wait(again.job_id, timeout=300).state == "DONE"
+        assert sched.counters["executed"] == 1
+
+
+def test_coalesced_duplicate_settles_after_restart(tmp_path):
+    """A duplicate queued behind a primary, then a restart before
+    either ran: the fresh scheduler runs the primary once and the
+    duplicate adopts its answer."""
+    root = tmp_path / "store"
+    idle = Scheduler(root)      # never started: submissions stay QUEUED
+    primary = idle.submit({"design": "dr5", "benchmark": "mult"})
+    dup = idle.submit({"design": "dr5", "benchmark": "mult"})
+    assert dup.coalesced_into == primary.job_id
+
+    with Scheduler(root, workers=1) as fresh:
+        done = fresh.wait(primary.job_id, timeout=300)
+        assert done.state == "DONE"
+        settled = fresh.wait(dup.job_id, timeout=60)
+        assert settled.state == "DONE"
+        assert settled.result_digest == done.result_digest
+        assert fresh.counters["executed"] == 1
+
+
+def test_duplicate_of_a_job_orphaned_mid_run_settles_with_it(tmp_path):
+    """The service died while the primary ran: recovery ends the primary
+    (FAILED, no checkpoint) and its queued duplicate with it."""
+    root = tmp_path / "store"
+    idle = Scheduler(root)
+    primary = idle.submit({"design": "dr5", "benchmark": "mult"})
+    dup = idle.submit({"design": "dr5", "benchmark": "mult"})
+    primary.advance("RUNNING")
+    idle.job_store.save(primary)
+
+    fresh = Scheduler(root)
+    fresh.recover()
+    orphan = fresh.get(primary.job_id)
+    assert orphan.state == "FAILED"
+    settled = fresh.get(dup.job_id)
+    assert settled.state == "FAILED" and settled.error == orphan.error
+    # persisted, not just settled in memory
+    assert fresh.job_store.load(dup.job_id).state == "FAILED"

@@ -83,6 +83,18 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--workers", "3"])
         assert args.workers == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shard-segments", "10"],
+        ["serve", "--quota-jobs", "2"],
+        ["serve", "--max-retries", "0"],
+        ["submit", "dr5", "mult", "--shard-segments", "10"]])
+    def test_service_tuning_options_are_gone(self, argv, capsys):
+        # jobs run unsharded, unmetered, with one fixed retry
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit):
             main(["analyze", "dr5", "mult", "--resume"])

@@ -76,8 +76,7 @@ def test_spec_naming_lanes_is_rejected(engine):
 
 
 @pytest.mark.parametrize("field", ["deadline_seconds", "max_rss_mb",
-                                   "max_frontier", "max_segments",
-                                   "shard_segments"])
+                                   "max_frontier", "max_segments"])
 def test_spec_budgets_must_be_positive(field):
     with pytest.raises(JobSpecError, match="positive"):
         make_spec(**{field: 0})
@@ -148,7 +147,7 @@ def test_queued_cannot_reenter_queued():
 def test_manifest_round_trip(tmp_path):
     job = Job.new(make_spec(max_segments=7, submitter="bob"), FP)
     job.advance("RUNNING")
-    job.attempts, job.retries, job.shards = 3, 1, 2
+    job.attempts, job.retries = 3, 1
     job.stop_reason, job.pending_paths = "segments", 4
     job.summary = {"paths_created": 9}
     job.metrics = {"cache_hits": 5}
@@ -248,19 +247,17 @@ def test_job_store_lists_manifests_stored_with_lanes(tmp_path):
 
 
 def _stored_manifest(job_id: str, frontier: str, created: float) -> dict:
-    """A QUEUED job manifest exactly as the service stored it while the
-    novelty frontier order still existed."""
+    """A QUEUED job manifest, written out as the service stores it."""
     return {
         "kind": "job", "job": job_id, "state": "QUEUED",
         "spec": {"design": "dr5", "benchmark": "mult", "csm": "uber",
                  "engine": "serial", "frontier": frontier,
                  "use_constraints": True, "deadline_seconds": None,
                  "max_rss_mb": None, "max_frontier": None,
-                 "max_segments": None, "shard_segments": None,
-                 "submitter": "anon", "dedup": True,
-                 "resume_from": None},
+                 "max_segments": None, "submitter": "anon",
+                 "dedup": True, "resume_from": None},
         "fingerprint": FP, "created": created, "started": None,
-        "finished": None, "attempts": 0, "retries": 0, "shards": 0,
+        "finished": None, "attempts": 0, "retries": 0,
         "resume_next": False, "coalesced_into": None,
         "cache_hit": False, "resume_of": None, "error": "",
         "stop_reason": None, "stop_detail": "", "pending_paths": 0,
@@ -274,6 +271,33 @@ def test_stored_manifest_naming_dfs_or_bfs_loads(frontier):
     job = Job.from_manifest(manifest)
     assert job.spec.frontier == frontier
     assert job.to_manifest() == manifest
+
+
+@pytest.mark.parametrize("value", [None, 10])
+def test_spec_naming_shard_segments_is_rejected(value):
+    # jobs are no longer sliced into frontier shards: a new submission
+    # naming a shard size is refused by name
+    with pytest.raises(JobSpecError,
+                       match="unknown spec field.*shard_segments"):
+        make_spec(shard_segments=value)
+
+
+@pytest.mark.parametrize("shard_segments,shards", [(None, 0), (10, 3)])
+def test_stored_manifest_with_shards_loads(tmp_path, shard_segments,
+                                           shards):
+    # stored while jobs could be sharded: the shard size (which never
+    # changed a run's answer) and the shard count are dropped on load
+    stored = _stored_manifest("s" * 12, "dfs", 1.0)
+    manifest = dict(stored, shards=shards,
+                    spec=dict(stored["spec"],
+                              shard_segments=shard_segments))
+    job = Job.from_manifest(manifest)
+    assert job.spec == make_spec()
+    assert job.to_manifest() == stored
+    content = ContentStore(tmp_path / "store")
+    content.put_manifest(f"job-{job.job_id}", manifest)
+    assert [j.job_id for j in JobStore(content).list_jobs()] \
+        == [job.job_id]
 
 
 def test_stored_manifest_naming_novelty_is_skipped(tmp_path):
