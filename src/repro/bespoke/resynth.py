@@ -210,7 +210,7 @@ def _dedup_ties(gates: List[_G]) -> bool:
     return rewired
 
 
-def resynthesize(netlist: Netlist, keep_output_ties: bool = True) -> Netlist:
+def resynthesize(netlist: Netlist) -> Netlist:
     """Run folding / buffer sweep / dead-logic removal to a fixpoint."""
     gates, inputs, outputs = _explode(netlist)
     for _ in range(200):

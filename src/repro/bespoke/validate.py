@@ -32,6 +32,8 @@ from ..coanalysis.results import CoAnalysisResult
 from ..coanalysis.target import SymbolicTarget
 
 VALIDATION_MODES = ("sim", "sat", "both")
+#: data-memory words (from address 0) a spot-check compares after a run
+DMEM_COMPARE_WORDS = 128
 
 
 @dataclass
@@ -71,11 +73,10 @@ class ValidationReport:
         return self.sim_ok
 
 
-def _observable(run: ConcreteRun, dmem_range) -> Dict[str, object]:
+def _observable(run: ConcreteRun) -> Dict[str, object]:
     mem = run.final_sim.memories["dmem"]
-    lo, hi = dmem_range
     words = []
-    for addr in range(lo, hi):
+    for addr in range(DMEM_COMPARE_WORDS):
         w = mem.read_concrete(addr)
         words.append(w.to_int() if w.is_known else str(w))
     return {
@@ -89,7 +90,6 @@ def _observable(run: ConcreteRun, dmem_range) -> Dict[str, object]:
 def validate_bespoke(original: SymbolicTarget, bespoke: SymbolicTarget,
                      analysis: CoAnalysisResult,
                      cases: Sequence[Dict[int, int]],
-                     dmem_compare_range=(0, 128),
                      max_cycles: int = 20000,
                      mode: str = "sim",
                      unroll: int = 1,
@@ -130,8 +130,8 @@ def validate_bespoke(original: SymbolicTarget, bespoke: SymbolicTarget,
                 f"case {i}: original finished={run_orig.finished}, "
                 f"bespoke finished={run_besp.finished}")
             continue
-        obs_o = _observable(run_orig, dmem_compare_range)
-        obs_b = _observable(run_besp, dmem_compare_range)
+        obs_o = _observable(run_orig)
+        obs_b = _observable(run_besp)
         if obs_o != obs_b:
             report.behaviour_match = False
             for key in obs_o:

@@ -42,13 +42,11 @@ from .reporting.runner import run_one
 from .sim.vcd import VcdWriter
 from .workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 
-#: CSM merge strategies (``--csm``) now live in
-#: :data:`repro.csm.CSM_STRATEGIES` (shared with the job service);
-#: frontier scheduling policies in
-#: :data:`repro.coanalysis.frontier.FRONTIER_STRATEGIES` (``--strategy``).
-#: ``STRATEGIES`` is the historical name from when ``--strategy``
-#: selected the CSM.
-STRATEGIES = CSM_STRATEGIES
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
 
 
 def _add_pair_args(p: argparse.ArgumentParser) -> None:
@@ -633,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=None,
                    help="TCP port (default: 8351)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
+    p.add_argument("--workers", type=_positive_int, default=2, metavar="N",
                    help="jobs running at once, each in its own worker "
                         "process (default: 2)")
     p.add_argument("--verbose", action="store_true",

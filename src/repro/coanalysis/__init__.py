@@ -1,12 +1,15 @@
 """Symbolic hardware-software co-analysis engine (Algorithm 1).
 
 The one front door is :class:`CoAnalysisEngine`, run on any
-:class:`SymbolicTarget`.  The exploration loop lives in
-:class:`ExplorationKernel`; simulation backends (serial cycle engine,
-event-driven engine, lane-parallel batch) plug in as
+:class:`SymbolicTarget`: it is the :class:`ExplorationKernel`, which
+holds the exploration loop and declares every exploration setting,
+with the simulation backend built for the target.  Backends (serial
+cycle engine, event-driven engine, lane-parallel batch) plug in as
 :class:`SimBackend` implementations, the frontier order is picked by
 name (``"dfs"`` or ``"bfs"``), and observability plugs in as trace
-sinks on a :class:`Tracer`.
+sinks on a :class:`Tracer`.  The trace is a run's one log: its events
+and ``result.metrics`` record checkpoints, resumes, interrupts and
+governed stops.
 """
 
 from .backend import (SimBackend, boundary_outcome, prepare_initial_state,
@@ -19,7 +22,7 @@ from .frontier import (FRONTIER_STRATEGIES, BreadthFirstFrontier,
 from .kernel import (BatchContext, ExplorationKernel, PendingPath,
                      SegmentResult)
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
-                      PathRecord, ResumeMismatch, RunEvent)
+                      PathRecord, ResumeMismatch)
 from .target import SymbolicTarget
 from .trace import (JsonlTraceSink, MetricsAggregator, ProgressLine,
                     RunMetrics, TraceEvent, Tracer, TraceSink,
@@ -36,7 +39,7 @@ __all__ = [
     "Tracer", "TraceSink", "TraceEvent", "JsonlTraceSink",
     "MetricsAggregator", "ProgressLine", "RunMetrics",
     "aggregate_trace", "read_trace",
-    "CoAnalysisResult", "CoAnalysisError", "PathRecord", "RunEvent",
+    "CoAnalysisResult", "CoAnalysisError", "PathRecord",
     "CheckpointError", "ResumeMismatch",
     "SymbolicTarget",
 ]

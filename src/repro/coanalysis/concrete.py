@@ -39,8 +39,7 @@ class ConcreteRun:
 
 
 def run_concrete(target: SymbolicTarget, inputs: Dict[int, int],
-                 max_cycles: int = 20000,
-                 trace_pc: bool = True) -> ConcreteRun:
+                 max_cycles: int = 20000) -> ConcreteRun:
     """Run the target's program to completion with fixed inputs."""
     sim = target.make_sim()
     target.reset(sim)
@@ -55,8 +54,7 @@ def run_concrete(target: SymbolicTarget, inputs: Dict[int, int],
     we_net = getattr(target, "_dmem_we", None)
     while cycles < max_cycles:
         target.drive_all(sim)
-        if trace_pc:
-            pc_trace.append(target.current_pc(sim))
+        pc_trace.append(target.current_pc(sim))
         # every settled cycle counts, the final one included, as it
         # does in a symbolic segment that ends "done"
         sim.record_activity_now()

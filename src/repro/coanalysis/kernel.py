@@ -18,7 +18,9 @@ differs.  :class:`ExplorationKernel` owns everything else:
   path's activity is incomplete, so the dichotomy would be unsound);
 * checkpoint/resume through the one versioned payload codec in
   :mod:`repro.resilience.checkpoint`;
-* the structured trace stream (:mod:`repro.coanalysis.trace`);
+* the structured trace stream (:mod:`repro.coanalysis.trace`), the
+  run's one log: checkpoints, resumes, interrupts and governed stops
+  are trace events, counted in ``result.metrics``;
 * the run governor (:mod:`repro.resilience.governor`): wall-clock
   deadlines, the RSS memory watchdog, frontier/segment caps, and
   SIGINT/SIGTERM turned into cooperative stops -- all ending the run as
@@ -32,7 +34,9 @@ boundary, reporting each segment's own activity planes.  A backend
 never touches the CSM, the frontier or the profile --
 that is the point of the extraction: every scaling or resilience
 feature lands in this file once, not three times.  The shared segment
-loop backends build on lives in :mod:`repro.coanalysis.backend`.
+loop backends build on lives in :mod:`repro.coanalysis.backend`, and
+:class:`~repro.coanalysis.engine.CoAnalysisEngine` is this kernel with
+the backend built for a target.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from ..sim.activity import ToggleProfile
 from ..sim.state import SimState
 from .backend import BatchContext, PendingPath, SegmentResult, SimBackend
 from .results import (CheckpointError, CoAnalysisError, CoAnalysisResult,
-                      PartialResult, PathRecord, ResumeMismatch, RunEvent)
+                      PartialResult, PathRecord, ResumeMismatch)
 
 __all__ = [
     "BatchContext", "ExplorationKernel", "PendingPath", "SegmentResult",
@@ -59,7 +63,36 @@ __all__ = [
 
 
 class ExplorationKernel:
-    """Runs Algorithm 1 over any :class:`SimBackend`."""
+    """Runs Algorithm 1 over any :class:`SimBackend`.
+
+    The constructor is the one place the exploration settings are
+    declared; :class:`~repro.coanalysis.engine.CoAnalysisEngine` passes
+    them through.
+
+    Args:
+        executor: the :class:`SimBackend` simulating each batch.
+        csm: the :class:`~repro.csm.manager.ConservativeStateManager`
+            (default: a fresh one).
+        frontier: a name from
+            :data:`~repro.coanalysis.frontier.FRONTIER_STRATEGIES`, or
+            None for the paper's depth-first stack.
+        max_cycles_per_path, max_total_cycles: cycle budgets of one
+            segment and of the run (None: no run budget); a segment
+            that exhausts one ends the run with CoAnalysisError.
+        max_paths: cap on the pending frontier.
+        application: the name results and checkpoints carry.
+        checkpoint: a :class:`~repro.resilience.checkpoint.Checkpointer`
+            or a path; ^C mid-segment writes a final record first.
+        resume: continue from the checkpoint's newest intact record.
+        tracer: the :class:`~repro.coanalysis.trace.Tracer` receiving
+            the event stream (default: metrics only).
+        budget: a :class:`~repro.resilience.governor.RunBudget` or
+            governor ending the run as a PartialResult.
+        segment_cache: a :class:`~repro.store.segments.SegmentResultCache`
+            replaying settled segments of an identical earlier run.
+        record_per_path_activity: fill ``result.per_path_exercised``
+            with each segment's ``toggled | ever_x`` (power gating).
+    """
 
     def __init__(self, executor: SimBackend,
                  csm=None,
@@ -88,12 +121,7 @@ class ExplorationKernel:
         self.resume = resume
         self.tracer = tracer if tracer is not None else Tracer()
         self.governor = as_governor(budget)
-        #: optional :class:`~repro.store.segments.SegmentResultCache`:
-        #: settled segments are replayed instead of re-simulated, and
-        #: fold into the profile exactly as live ones do
         self.segment_cache = segment_cache
-        #: when True, each PathRecord gains its segment's exercised-net
-        #: array (``toggled | ever_x``) in ``result.per_path_exercised``
         self.record_per_path_activity = record_per_path_activity
         self.batches_done = 0
         self._stop = None               # StopRequest once governed-stopped
@@ -213,10 +241,6 @@ class ExplorationKernel:
             except KeyboardInterrupt:
                 self.frontier.requeue(batch)
                 if self.checkpoint is not None:
-                    result.journal.append(RunEvent(
-                        "interrupt",
-                        detail=f"{len(self.frontier)} pending paths "
-                               f"checkpointed"))
                     self._write_checkpoint(result)
                 tracer.emit("interrupt", frontier=len(self.frontier),
                             detail="keyboard interrupt")
@@ -261,10 +285,6 @@ class ExplorationKernel:
         """End the run cooperatively: flush a checkpoint, record why."""
         if self.checkpoint is not None:
             self._write_checkpoint(result)
-        result.journal.append(RunEvent(
-            "governed_stop", wave=self.batches_done,
-            segment=len(result.path_records),
-            detail=f"{stop.reason}: {stop.detail}"))
         self.tracer.emit(
             TRACE_KIND_FOR_REASON.get(stop.reason, "interrupt"),
             frontier=len(self.frontier), detail=stop.detail,
@@ -354,17 +374,12 @@ class ExplorationKernel:
                       result.segment_cache_misses,
                       "batches_done": self.batches_done},
             path_records=list(result.path_records),
-            per_path_exercised=list(result.per_path_exercised),
-            journal=list(result.journal))
+            per_path_exercised=list(result.per_path_exercised))
         self.checkpoint.write(payload, progress=self.batches_done)
         if self.segment_cache is not None:
             # flush the memo index at the same cadence as the journal,
             # so a crash loses at most one checkpoint interval of memos
             self.segment_cache.flush()
-        result.journal.append(RunEvent(
-            "checkpoint", wave=self.batches_done,
-            segment=len(result.path_records),
-            detail=f"{len(self.frontier)} pending paths"))
         self.tracer.emit("checkpoint", frontier=len(self.frontier))
 
     def _apply_checkpoint(self, raw: dict,
@@ -404,17 +419,12 @@ class ExplorationKernel:
             setattr(result, key, value)
         result.path_records = list(payload["path_records"])
         result.per_path_exercised = list(payload["per_path_exercised"])
-        result.journal = list(payload["journal"])
         result.resumed = True
         # the entries re-push into this run's frontier whatever order
         # wrote them; slots 2 and 4 are retired (written as None)
         for blob, forced, _, parent, _ in payload["frontier"]:
             self.frontier.push(PendingPath(
                 SimState.from_bytes(blob), forced, parent))
-        result.journal.append(RunEvent(
-            "resume", wave=self.batches_done,
-            segment=len(result.path_records),
-            detail=f"{len(self.frontier)} pending paths restored"))
         outcomes = Counter(r.outcome for r in result.path_records)
         self.tracer.emit(
             "resume", frontier=len(self.frontier),

@@ -3,7 +3,9 @@
 Table 3 reports exercisable gate counts and percentage reduction; Table 4
 reports paths created, paths skipped, and simulated cycles.  These records
 carry exactly those quantities, plus enough detail for the ablation
-benches (per-path segments, CSM statistics, wall-clock time).
+benches (per-path segments, CSM statistics, wall-clock time).  What
+happened to the run itself -- checkpoints, resumes, interrupts, governed
+stops -- is in its trace and in ``result.metrics``, not here.
 """
 
 from __future__ import annotations
@@ -28,19 +30,11 @@ class PathRecord:
     parent: Optional[int] = None
 
 
-@dataclass
 class RunEvent:
-    """One entry of a run's resilience journal.
-
-    ``kind`` is drawn from a small vocabulary so operators can grep a
-    long run's history: ``checkpoint``, ``resume``, ``interrupt``,
-    ``governed_stop``.
-    """
-
-    kind: str
-    wave: Optional[int] = None
-    segment: Optional[int] = None
-    detail: str = ""
+    """An entry of the retired run journal, kept so that checkpoints
+    and stored results pickled with one still load.  Nothing creates
+    one: the trace records checkpoints, resumes, interrupts and
+    governed stops."""
 
 
 @dataclass
@@ -64,9 +58,6 @@ class CoAnalysisResult:
     #: per-segment exercised-net arrays (aligned with path_records);
     #: populated when the engine runs with record_per_path_activity
     per_path_exercised: List = field(default_factory=list)
-    #: resilience journal: every checkpoint written, resume performed,
-    #: interrupt and governed stop during the run
-    journal: List[RunEvent] = field(default_factory=list)
     #: True when this result continues an earlier checkpointed run
     resumed: bool = False
     #: discrete events processed (event-driven backend only; 0 otherwise)

@@ -235,6 +235,9 @@ class MetricsAggregator(TraceSink):
                     setattr(m, key, event.data[key])
             if "outcomes" in event.data:
                 m.outcomes = dict(event.data["outcomes"])
+            # an earlier attempt's stop, read from the same appended
+            # trace, no longer stands once the run continues
+            m.stop_reason = None
         elif event.kind == "cache_hit":
             m.cache_hits += 1
         elif event.kind == "cache_miss":

@@ -122,45 +122,6 @@ class ConservativeStateManager:
         self._expanded = blob["expanded"]
         self.stats = blob["stats"]
 
-    # -- persistence -------------------------------------------------------
-    def save_repository(self, path) -> None:
-        """Persist the state repository (the paper's CSM keeps it on
-        disk between the simulator processes it launches)."""
-        import pickle
-        from pathlib import Path
-        blob = {
-            "strategy": self.strategy.name,
-            "repository": self.repository,
-            "expanded": self._expanded,
-            "stats": self.stats,
-        }
-        Path(path).write_bytes(
-            pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL))
-
-    @classmethod
-    def load_repository(cls, path, strategy: Optional[MergeStrategy] = None,
-                        constraints: Optional[ConstraintSet] = None
-                        ) -> "ConservativeStateManager":
-        """Rebuild a CSM from a saved repository file."""
-        import pickle
-        from pathlib import Path
-        blob = pickle.loads(Path(path).read_bytes())
-        if strategy is None:
-            if blob["strategy"] != UberConservative.name:
-                raise ValueError(
-                    f"repository was built with strategy "
-                    f"{blob['strategy']!r}; pass a matching strategy "
-                    f"instance to load it")
-        elif strategy.name != blob["strategy"]:
-            raise ValueError(
-                f"repository was built with strategy "
-                f"{blob['strategy']!r}, not {strategy.name!r}")
-        csm = cls(strategy=strategy, constraints=constraints)
-        csm.repository = blob["repository"]
-        csm._expanded = blob["expanded"]
-        csm.stats = blob["stats"]
-        return csm
-
     # -- introspection ---------------------------------------------------
     def states_for(self, pc: int) -> List[SimState]:
         return list(self.repository.get(pc, []))

@@ -184,15 +184,12 @@ def profile_assumptions(original: Netlist,
 
 def build_miter(original: Netlist, bespoke: Netlist,
                 profile: Optional[ToggleProfile] = None,
-                unroll: int = 1,
-                assume_consts: Optional[Dict[int, bool]] = None) -> Miter:
+                unroll: int = 1) -> Miter:
     """Encode the miter of ``original`` vs ``bespoke``.
 
     ``profile`` supplies the unexercisable-constant assumptions (pass
     None for an assumption-free miter, e.g. for pure re-synthesis
-    checks).  ``assume_consts`` overrides/extends them (original net
-    index -> bool).  ``unroll`` chains that many transition-function
-    frames.
+    checks).  ``unroll`` chains that many transition-function frames.
     """
     if unroll < 1:
         raise MiterError("unroll must be >= 1")
@@ -202,8 +199,6 @@ def build_miter(original: Netlist, bespoke: Netlist,
     consts: Dict[int, bool] = {}
     if profile is not None:
         consts.update(profile_assumptions(original, profile))
-    if assume_consts:
-        consts.update(assume_consts)
 
     orig_flops = _flop_outputs(original)
     besp_flops = _flop_outputs(bespoke)

@@ -37,7 +37,7 @@ class NetlistReport:
     max_fanout: int
     avg_fanout: float
 
-    def render(self, top_blocks: int = 12) -> str:
+    def render(self) -> str:
         lines = [f"Netlist report: {self.name}",
                  f"  gates {self.gates} (flops {self.flops}), "
                  f"nets {self.nets}, area {self.area:.1f}",
@@ -49,7 +49,7 @@ class NetlistReport:
             lines.append(f"    {kind:<6} {count}")
         lines.append(f"  top blocks by area:")
         ranked = sorted(self.by_block.items(), key=lambda kv: -kv[1][1])
-        for block, (count, area) in ranked[:top_blocks]:
+        for block, (count, area) in ranked[:12]:
             lines.append(f"    {block:<14} {count:>5} gates  "
                          f"{area:>9.1f} area")
         return "\n".join(lines)

@@ -36,6 +36,7 @@ from ..sim.memory import XMemory
 from .meta import CoreMeta
 
 DMEM_NAME = "dmem"
+DMEM_WORDS = 256
 
 
 class CoreTarget(SymbolicTarget):
@@ -44,8 +45,7 @@ class CoreTarget(SymbolicTarget):
     def __init__(self, netlist: Netlist, meta: CoreMeta, program: Program,
                  symbolic_ranges: Iterable[Tuple[int, int]] = (),
                  data_init: Optional[Dict[int, int]] = None,
-                 gpio_symbolic: bool = False,
-                 dmem_words: int = 256):
+                 gpio_symbolic: bool = False):
         super().__init__(netlist)
         if program.word_width != meta.word_width:
             raise ValueError(
@@ -57,7 +57,6 @@ class CoreTarget(SymbolicTarget):
         self.symbolic_ranges = list(symbolic_ranges)
         self.data_init = dict(data_init or {})
         self.gpio_symbolic = gpio_symbolic
-        self.dmem_words = dmem_words
 
         nl = netlist
         self.pc_nets = nl.bus(meta.pc_port, meta.pc_width)
@@ -87,7 +86,7 @@ class CoreTarget(SymbolicTarget):
 
     # -- engine hooks -------------------------------------------------------
     def prepare_sim(self, sim):
-        sim.attach_memory(XMemory(self.dmem_words, self.meta.word_width,
+        sim.attach_memory(XMemory(DMEM_WORDS, self.meta.word_width,
                                   name=DMEM_NAME))
         if self._gpio_in is not None:
             sim.set_bus(self._gpio_in,

@@ -37,13 +37,11 @@ from ..workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 DESIGN_ORDER = ["bm32", "omsp430", "dr5"]     # paper table column order
 
 
-def _make_tracer(trace, progress: bool) -> Optional[Tracer]:
-    from ..coanalysis.trace import TraceSink
+def _make_tracer(trace, progress: bool, resume: bool) -> Optional[Tracer]:
     sinks = []
-    if isinstance(trace, TraceSink):
-        sinks.append(trace)            # caller-configured sink (service)
-    elif trace:
-        sinks.append(JsonlTraceSink(trace))
+    if trace:
+        # a resumed run appends: the trace keeps every attempt's events
+        sinks.append(JsonlTraceSink(trace, mode="a" if resume else "w"))
     if progress:
         sinks.append(ProgressLine())
     return Tracer(sinks) if sinks else None
@@ -151,8 +149,9 @@ def run_one(design: str, benchmark: str,
     lanes refilled from the frontier by compaction).
     ``checkpoint``/``resume`` journal the run to disk and continue an
     interrupted one (see :mod:`repro.resilience`); ``trace`` writes the
-    structured event stream as JSONL and ``progress`` keeps a live
-    status line.  ``budget`` is an optional
+    structured event stream as JSONL (a resumed run appends to it, so
+    the file keeps every attempt) and ``progress`` keeps a live status
+    line.  ``budget`` is an optional
     :class:`~repro.resilience.governor.RunBudget` governing the run
     (deadline / RSS ceiling / frontier and segment caps -- a tripped
     limit returns a :class:`~repro.coanalysis.results.PartialResult`).
@@ -171,7 +170,7 @@ def run_one(design: str, benchmark: str,
                                                   use_constraints)
     strategy = strategy or UberConservative()
     csm = ConservativeStateManager(strategy, constraints=constraints)
-    tracer = _make_tracer(trace, progress)
+    tracer = _make_tracer(trace, progress, resume)
 
     store = fp = segment_cache = None
     if cache is not None:

@@ -15,7 +15,8 @@ versioned run-payload codec used by the
 :class:`~repro.coanalysis.kernel.ExplorationKernel` for every backend.
 ``decode_run_payload`` transparently upgrades the serial engine's legacy
 ``stack`` payload, so serial journals written before the codec was
-unified still resume.
+unified still resume.  The payload's ``"journal"`` slot is a retired
+per-run event list, now written empty: the run's trace is its log.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import io
 import os
 import pickle
 import struct
-import time
 import zlib
 from pathlib import Path
 from typing import Optional
@@ -47,20 +47,15 @@ class Checkpointer:
         every_segments: write at most once per this many completed
             frontier batches (one segment each on the serial and event
             engines, one lockstep wave on the batch engine).
-        every_seconds: additionally require this much wall time between
-            writes (``None`` -> no time gate).
     """
 
-    def __init__(self, path, every_segments: int = 16,
-                 every_seconds: Optional[float] = None):
+    def __init__(self, path, every_segments: int = 16):
         if every_segments < 1:
             raise ValueError("every_segments must be >= 1")
         self.path = Path(path)
         self.every_segments = every_segments
-        self.every_seconds = every_seconds
         self.records_written = 0
         self._last_mark = None          # progress mark at last write
-        self._last_write_time = 0.0
 
     # -- cadence -----------------------------------------------------------
     def due(self, progress: int) -> bool:
@@ -68,9 +63,6 @@ class Checkpointer:
         (segments or waves completed)?"""
         if self._last_mark is not None and \
                 progress - self._last_mark < self.every_segments:
-            return False
-        if self.every_seconds is not None and \
-                time.monotonic() - self._last_write_time < self.every_seconds:
             return False
         return True
 
@@ -103,7 +95,6 @@ class Checkpointer:
                 f"cannot write checkpoint {self.path}: {exc}") from exc
         self.records_written += 1
         self._last_mark = progress
-        self._last_write_time = time.monotonic()
 
     # -- reading -----------------------------------------------------------
     def load_latest(self) -> Optional[dict]:
@@ -159,8 +150,8 @@ RUN_PAYLOAD_CODEC = 2
 def encode_run_payload(engine: str, design: str, application: str,
                        frontier: list, strategy: str, csm: dict,
                        activity: dict, counters: dict,
-                       path_records: list, per_path_exercised: list,
-                       journal: list) -> dict:
+                       path_records: list,
+                       per_path_exercised: list) -> dict:
     """Build the one v2 run payload every backend checkpoints through.
 
     ``frontier`` is a list of ``(state_bytes, forced_decision, None,
@@ -169,6 +160,9 @@ def encode_run_payload(engine: str, design: str, application: str,
     the entry so the v2 shape does not change.  ``activity`` carries a
     ``"repr"`` key (``"sim"`` for live simulator planes, ``"profile"``
     for an accumulated toggle profile) beside the four boolean planes.
+    The ``"journal"`` slot once held the retired run journal and is
+    written as ``[]``; the run's trace records its checkpoints,
+    resumes, interrupts and stops.
     """
     return {
         "codec": RUN_PAYLOAD_CODEC,
@@ -182,7 +176,7 @@ def encode_run_payload(engine: str, design: str, application: str,
         "counters": dict(counters),
         "path_records": list(path_records),
         "per_path_exercised": list(per_path_exercised),
-        "journal": list(journal),
+        "journal": [],
     }
 
 
@@ -194,8 +188,10 @@ def decode_run_payload(payload: dict) -> dict:
     planes; they upgrade losslessly.  Older v2 payloads may still carry
     the retired poison-segment ``quarantine`` snapshot and
     ``quarantined_paths`` counter; both are dropped.  Their
-    ``strategy_meta`` (the retired novelty order's halt counts) and the
-    depth/origin-PC slots of their frontier entries are never read.
+    ``strategy_meta`` (the retired novelty order's halt counts), the
+    depth/origin-PC slots of their frontier entries and their
+    ``journal`` (pickled ``RunEvent`` entries of the retired run
+    journal) are never read.
     """
     codec = payload.get("codec")
     if codec == RUN_PAYLOAD_CODEC:
@@ -230,7 +226,6 @@ def decode_run_payload(payload: dict) -> dict:
             "counters": counters,
             "path_records": list(payload["path_records"]),
             "per_path_exercised": list(payload["per_path_exercised"]),
-            "journal": list(payload["journal"]),
         }
     # any other engine tag (the removed worker pool's "parallel" among
     # them): hand back just enough for the kernel to raise its

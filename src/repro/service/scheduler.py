@@ -65,7 +65,6 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
     """
     import pickle
 
-    from ..coanalysis.trace import JsonlTraceSink
     from ..csm import CSM_STRATEGIES
     from ..reporting.runner import run_one
     from ..resilience.governor import RunBudget, RunGovernor
@@ -84,14 +83,13 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
 
     verdict: Dict[str, object] = {"kind": "jobresult", "job": job_id,
                                   "attempt": attempt}
-    sink = JsonlTraceSink(trace_path, mode="a" if resume else "w")
     try:
         result = run_one(spec.design, spec.benchmark,
                          strategy=CSM_STRATEGIES[spec.csm](),
                          use_constraints=spec.use_constraints,
                          checkpoint=str(ckpt), resume=resume,
                          frontier=spec.frontier,
-                         engine=spec.engine, trace=sink,
+                         engine=spec.engine, trace=str(trace_path),
                          budget=governor, cache=store)
     except Exception as exc:          # noqa: BLE001 -- verdict, not crash
         verdict.update(state="FAILED",
@@ -137,6 +135,9 @@ class Scheduler:
     """
 
     def __init__(self, store, workers: int = 2):
+        if workers < 1:
+            # no slot would ever open: jobs would queue and never run
+            raise ValueError(f"workers must be >= 1, not {workers}")
         self.store = store if isinstance(store, ContentStore) \
             else ContentStore(Path(store))
         self.job_store = JobStore(self.store)

@@ -104,19 +104,17 @@ class _Leg:
 
 def lockstep_compare(netlist: Netlist,
                      stimulus: Sequence[Dict[str, Logic]],
-                     check_nets: Optional[Sequence[int]] = None,
                      engines: Tuple[Union[str, object],
                                     Union[str, object]] = ("event",
                                                            "cycle"),
                      ) -> CompareResult:
     """Run both engines over ``stimulus`` (one dict of input-name ->
-    value per cycle) and compare every checked net every cycle.
+    value per cycle) and compare every net every cycle.
 
     ``engines`` names (or provides) the reference and candidate legs;
     the default pair reproduces the historical event-vs-cycle check.
     """
-    nets = list(check_nets) if check_nets is not None else \
-        list(range(len(netlist.nets)))
+    nets = range(len(netlist.nets))
     compiled = compile_netlist(netlist)
     ref = _Leg(engines[0], netlist, compiled)
     cand = _Leg(engines[1], netlist, compiled)

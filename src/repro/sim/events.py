@@ -126,12 +126,10 @@ class EventScheduler:
                 return True
         return False
 
-    def run(self, until: Optional[int] = None) -> None:
-        """Run until the event queue empties or ``until`` time is passed."""
+    def run(self) -> None:
+        """Run until the event queue empties."""
         self.run_time_step()
         while self.advance():
-            if until is not None and self.time > until:
-                return
             self.run_time_step()
 
     # -- introspection / serialization --------------------------------------

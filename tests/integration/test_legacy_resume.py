@@ -22,7 +22,14 @@ order resumes into a dfs or bfs frontier.
 Journals written by the removed worker-pool engine (tag ``"parallel"``)
 must be refused with the kernel's engine-mismatch error, never resumed
 on another engine.
+
+Until the trace became a run's only log, every payload's ``journal``
+slot and every result's ``journal`` field held pickled ``RunEvent``
+entries.  Such records resume and such job results load, through the
+bare ``RunEvent`` class that stays for them.
 """
+
+import pickle
 
 import pytest
 
@@ -32,6 +39,7 @@ from repro.coanalysis.results import PartialResult, ResumeMismatch
 from repro.reporting.runner import run_one
 from repro.resilience.checkpoint import Checkpointer, load_checkpoint
 from repro.resilience.governor import RunBudget
+from repro.service.jobs import Job, JobSpec, JobStore
 from repro.store import ContentStore, SegmentResultCache
 from repro.workloads import WORKLOADS, build_target
 
@@ -269,3 +277,58 @@ def test_cli_resume_of_pool_journal_is_one_error_line(tmp_path, capsys,
     assert err.splitlines() == [
         "error: checkpoint was written by the 'parallel' engine, "
         "not 'serial'"]
+
+
+#: ``RunEvent("checkpoint", wave=16, segment=16, detail="3 pending
+#: paths")`` as the engine pickled run-journal entries
+#: (``pickle.HIGHEST_PROTOCOL``, protocol 5) while it kept them
+PICKLED_RUN_EVENT = (
+    b"\x80\x05\x95u\x00\x00\x00\x00\x00\x00\x00\x8c\x18"
+    b"repro.coanalysis.results\x94\x8c\x08RunEvent\x94\x93\x94)\x81\x94}"
+    b"\x94(\x8c\x04kind\x94\x8c\ncheckpoint\x94\x8c\x04wave\x94K\x10"
+    b"\x8c\x07segment\x94K\x10\x8c\x06detail\x94\x8c\x0f3 pending paths"
+    b"\x94ub.")
+
+
+def _run_journal(entries=8):
+    """Run-journal entries that pickle to the bytes the engine wrote:
+    a bm32/Div run stopped after 9 segments and resumed held 8 in its
+    newest record."""
+    events = [pickle.loads(PICKLED_RUN_EVENT) for _ in range(entries)]
+    assert events[0].kind == "checkpoint" and events[0].wave == 16
+    assert pickle.dumps(events[0], protocol=pickle.HIGHEST_PROTOCOL) \
+        == PICKLED_RUN_EVENT
+    return events
+
+
+def test_record_holding_run_journal_entries_resumes(tmp_path):
+    v2 = _stopped_payload(tmp_path)
+    assert v2["journal"] == []              # written empty now
+    path = _journal(tmp_path, "runevents.ckpt",
+                    dict(v2, journal=_run_journal()))
+    resumed = _engine(checkpoint=path, resume=True).run()
+    assert resumed.complete and resumed.resumed
+    assert not hasattr(resumed, "journal")
+
+    baseline = run_one("dr5", "mult")
+    assert resumed.profile.exercisable_gates() == \
+        baseline.profile.exercisable_gates()
+    assert resumed.paths_created == baseline.paths_created
+    assert resumed.simulated_cycles == baseline.simulated_cycles
+
+
+def test_job_result_pickled_with_a_run_journal_loads(tmp_path):
+    result = run_one("dr5", "mult")
+    result.journal = _run_journal()        # the field results carried
+    store = ContentStore(tmp_path / "store")
+    job = Job(job_id="legacy", fingerprint="f" * 64,
+              spec=JobSpec.from_dict({"design": "dr5",
+                                      "benchmark": "mult"}),
+              state="DONE",
+              result_digest=store.put_bytes(pickle.dumps(
+                  result, protocol=pickle.HIGHEST_PROTOCOL)))
+    loaded = JobStore(store).load_result(job)
+    assert loaded is not None
+    assert loaded.summary() == result.summary()
+    assert [event.kind for event in loaded.journal] == \
+        ["checkpoint"] * 8

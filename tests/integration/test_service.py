@@ -198,6 +198,14 @@ def test_cancel_queued_job(tmp_path):
     assert again.state == "QUEUED" and again.coalesced_into is None
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_scheduler_rejects_workers_below_one(tmp_path, workers):
+    # _fill_slots dispatches while fewer than `workers` jobs run, so a
+    # scheduler with no slot would accept jobs and never run them
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        Scheduler(tmp_path / "store", workers=workers)
+
+
 def test_submit_rejects_bad_spec(tmp_path):
     sched = Scheduler(tmp_path / "store")
     with pytest.raises(JobSpecError):

@@ -95,6 +95,14 @@ class TestParser:
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_serve_rejects_workers_below_one(self, workers, capsys):
+        # no worker slot would ever open: jobs would queue forever
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit):
             main(["analyze", "dr5", "mult", "--resume"])

@@ -1,14 +1,11 @@
-"""Unit tests for netlist reports, lockstep comparison, CSM persistence."""
+"""Unit tests for netlist reports and lockstep comparison."""
 
-import numpy as np
 import pytest
 
-from repro.csm import Clustered, ConservativeStateManager
 from repro.logic import Logic
 from repro.netlist.stats import block_of, diff_blocks, report
 from repro.rtl import Design
 from repro.sim.compare import lockstep_compare
-from repro.sim.state import SimState
 from repro.workloads import built_core
 
 
@@ -101,34 +98,3 @@ class TestLockstep:
         assert "cycle 3" in str(div)
         assert not CompareResult(4, div).equivalent
 
-
-class TestCsmPersistence:
-    def make_state(self, bits):
-        return SimState(
-            net_val=np.array([b == "1" for b in bits]),
-            net_known=np.array([b != "x" for b in bits]),
-            memories={}, pc=1)
-
-    def test_roundtrip(self, tmp_path):
-        csm = ConservativeStateManager()
-        csm.observe(1, self.make_state("101"))
-        csm.observe(1, self.make_state("100"))
-        path = tmp_path / "repo.pkl"
-        csm.save_repository(path)
-        loaded = ConservativeStateManager.load_repository(path)
-        assert loaded.pcs() == [1]
-        assert loaded.stats.observed == 2
-        # a covered observation stays covered after reload
-        decision = loaded.observe(1, self.make_state("101"))
-        assert decision.covered
-
-    def test_strategy_mismatch_rejected(self, tmp_path):
-        csm = ConservativeStateManager(Clustered(k=2))
-        csm.observe(1, self.make_state("10"))
-        path = tmp_path / "repo.pkl"
-        csm.save_repository(path)
-        with pytest.raises(ValueError):
-            ConservativeStateManager.load_repository(path)
-        loaded = ConservativeStateManager.load_repository(
-            path, strategy=Clustered(k=2))
-        assert loaded.total_states() == 1

@@ -99,6 +99,15 @@ class TestMetrics:
         assert agg.metrics.simulated_cycles == 9010
         assert agg.metrics.resumes == 1
 
+    def test_resume_clears_an_earlier_attempts_stop(self):
+        # a resumed run appends to its first attempt's trace: the stop
+        # recorded there no longer stands once the run continues
+        agg = MetricsAggregator()
+        agg.emit(TraceEvent("deadline", data={"reason": "segments"}))
+        assert agg.metrics.stop_reason == "segments"
+        agg.emit(TraceEvent("resume", data={"paths_explored": 3}))
+        assert agg.metrics.stop_reason is None
+
     def test_summary_is_json_serializable(self):
         summary = aggregate_trace(events_for_small_run()).summary()
         assert json.loads(json.dumps(summary)) == summary
