@@ -17,14 +17,14 @@ concrete run must never exceed it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..coanalysis.engine import CoAnalysisEngine
 from ..coanalysis.results import CoAnalysisResult
 from ..coanalysis.target import SymbolicTarget
-from .power import SWITCH_ENERGY
+from .power import measure_concrete_run, switch_energy
 
 
 @dataclass
@@ -39,29 +39,30 @@ class PeakPowerResult:
 
 
 class PeakPowerObserver:
-    """Cycle observer computing the symbolic switching upper bound."""
+    """Cycle observer computing the symbolic switching upper bound.
+
+    It keeps each path's previous cycle by path id (two net planes per
+    path seen): the batched engine interleaves its lanes' cycles, so
+    consecutive calls need not come from one path.  A path's first
+    cycle (cycle 0) is its baseline.
+    """
 
     def __init__(self, netlist):
-        self.energy = np.zeros(len(netlist.nets))
-        for gate in netlist.gates:
-            self.energy[gate.output] = SWITCH_ENERGY[gate.kind]
-        self._prev_val: Optional[np.ndarray] = None
-        self._prev_known: Optional[np.ndarray] = None
-        self._prev_path: Optional[int] = None
+        self.energy = switch_energy(netlist)
+        #: path id -> (val, known) of that path's previous cycle
+        self._prev: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.peak = 0.0
         self.peak_cycle = -1
         self.peak_path = -1
         self.per_path: Dict[int, float] = {}
 
     def __call__(self, sim, path_id: int, cycle: int) -> None:
-        if self._prev_path != path_id:
-            # new path segment: no previous cycle to diff against
-            self._prev_val = sim.val.copy()
-            self._prev_known = sim.known.copy()
-            self._prev_path = path_id
+        prev = self._prev.get(path_id) if cycle else None
+        self._prev[path_id] = (sim.val.copy(), sim.known.copy())
+        if prev is None:
             return
-        may_switch = (~sim.known) | (~self._prev_known) | \
-                     (sim.val != self._prev_val)
+        prev_val, prev_known = prev
+        may_switch = (~sim.known) | (~prev_known) | (sim.val != prev_val)
         bound = float((may_switch * self.energy).sum())
         if bound > self.per_path.get(path_id, 0.0):
             self.per_path[path_id] = bound
@@ -69,8 +70,6 @@ class PeakPowerObserver:
             self.peak = bound
             self.peak_cycle = cycle
             self.peak_path = path_id
-        self._prev_val = sim.val.copy()
-        self._prev_known = sim.known.copy()
 
 
 def analyze_peak_power(target: SymbolicTarget, application: str = "app",
@@ -92,26 +91,4 @@ def analyze_peak_power(target: SymbolicTarget, application: str = "app",
 def concrete_peak(target: SymbolicTarget, inputs: Dict[int, int],
                   max_cycles: int = 20000) -> float:
     """Measured per-cycle switching peak of one fixed-input run."""
-    energy = np.zeros(len(target.netlist.nets))
-    for gate in target.netlist.gates:
-        energy[gate.output] = SWITCH_ENERGY[gate.kind]
-    sim = target.make_sim()
-    target.reset(sim)
-    target.apply_concrete_inputs(sim, inputs)  # type: ignore[attr-defined]
-    target.drive_all(sim)
-    prev_val = sim.val.copy()
-    prev_known = sim.known.copy()
-    peak = 0.0
-    cycles = 0
-    while cycles < max_cycles:
-        target.drive_all(sim)
-        if target.is_done(sim):
-            break
-        switched = (sim.val != prev_val) | (sim.known != prev_known)
-        peak = max(peak, float((switched * energy).sum()))
-        prev_val = sim.val.copy()
-        prev_known = sim.known.copy()
-        target.on_edge(sim)
-        sim.clock_edge()
-        cycles += 1
-    return peak
+    return measure_concrete_run(target, inputs, max_cycles).peak_energy

@@ -21,6 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..coanalysis.concrete import run_concrete
 from ..coanalysis.target import SymbolicTarget
 from ..netlist.netlist import Netlist
 
@@ -41,6 +42,15 @@ LEAKAGE_PER_AREA = 1.0
 CLOCK_ENERGY_PER_FLOP = 0.8
 
 
+def switch_energy(netlist: Netlist) -> np.ndarray:
+    """Per-net switching energy: the driving cell's
+    :data:`SWITCH_ENERGY`, 0 on a net no gate drives."""
+    energy = np.zeros(len(netlist.nets))
+    for gate in netlist.gates:
+        energy[gate.output] = SWITCH_ENERGY[gate.kind]
+    return energy
+
+
 @dataclass
 class PowerReport:
     """Energy/power estimate for one run of one netlist."""
@@ -51,6 +61,7 @@ class PowerReport:
     clock_energy: float            # clock tree
     leakage_power: float           # per-cycle leakage
     toggles: int
+    peak_energy: float             # largest one-cycle switching energy
 
     @property
     def leakage_energy(self) -> float:
@@ -86,18 +97,19 @@ class PowerMeter:
     """Counts per-net toggles during a simulation for energy estimation.
 
     Use as a cycle observer (``meter.observe(sim)`` after each settled
-    cycle) or via :func:`measure_concrete_run`.
+    cycle) or via :func:`measure_concrete_run`.  The first observed
+    cycle is the baseline; each later one meters one clock edge.
     """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._energy_by_net = np.zeros(len(netlist.nets))
-        for gate in netlist.gates:
-            self._energy_by_net[gate.output] = SWITCH_ENERGY[gate.kind]
+        self._energy_by_net = switch_energy(netlist)
         self.toggle_counts = np.zeros(len(netlist.nets), dtype=np.int64)
         self._prev_val: Optional[np.ndarray] = None
         self._prev_known: Optional[np.ndarray] = None
         self.cycles = 0
+        #: largest switching energy of one metered cycle
+        self.peak_energy = 0.0
 
     def observe(self, sim) -> None:
         """Record one settled cycle of ``sim``."""
@@ -105,6 +117,9 @@ class PowerMeter:
             changed = (sim.val != self._prev_val) | \
                       (sim.known != self._prev_known)
             self.toggle_counts += changed
+            self.peak_energy = max(
+                self.peak_energy,
+                float((changed * self._energy_by_net).sum()))
             self.cycles += 1
         self._prev_val = sim.val.copy()
         self._prev_known = sim.known.copy()
@@ -125,27 +140,19 @@ class PowerMeter:
             clock_energy=CLOCK_ENERGY_PER_FLOP * n_flops * self.cycles,
             leakage_power=leakage_power(self.netlist),
             toggles=self.total_toggles,
+            peak_energy=self.peak_energy,
         )
 
 
 def measure_concrete_run(target: SymbolicTarget, inputs: Dict[int, int],
                          max_cycles: int = 20000) -> PowerReport:
-    """Run the target's application with fixed inputs, metering power."""
+    """Run the target's application with fixed inputs, metering power:
+    every clock edge of the run, the last one into the done cycle
+    included."""
     meter = PowerMeter(target.netlist)
-    sim = target.make_sim()
-    target.reset(sim)
-    target.apply_concrete_inputs(sim, inputs)  # type: ignore[attr-defined]
-    target.drive_all(sim)
-    meter.observe(sim)
-    cycles = 0
-    while cycles < max_cycles:
-        target.drive_all(sim)
-        if target.is_done(sim):
-            break
-        meter.observe(sim)
-        target.on_edge(sim)
-        sim.clock_edge()
-        cycles += 1
+    run_concrete(target, inputs, max_cycles,
+                 cycle_observer=lambda sim, _path, _cycle:
+                 meter.observe(sim))
     return meter.report(target.name)
 
 

@@ -26,8 +26,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis import (analyze_coverage, analyze_peak_power,
-                       compare_power, concrete_peak, timing_slack)
+                       compare_power, timing_slack)
 from .bespoke import area_report, generate_bespoke, validate_bespoke
+from .coanalysis.concrete import run_concrete
 from .coanalysis.engine import ENGINES
 from .coanalysis.frontier import FRONTIER_STRATEGIES
 from .coanalysis.results import CoAnalysisError, PartialResult
@@ -227,16 +228,14 @@ def cmd_power(args) -> int:
     workload = WORKLOADS[args.benchmark]
     target = build_target(args.design, workload)
     peak = analyze_peak_power(target, application=args.benchmark)
+    bespoke_nl = generate_bespoke(target.netlist, peak.analysis.profile)
+    bespoke = build_target(args.design, workload, netlist=bespoke_nl)
+    savings = compare_power(target, bespoke, workload.cases[0])
     print(f"input-independent peak switching bound: "
           f"{peak.peak_bound:.1f} (cycle {peak.peak_cycle}, "
           f"path {peak.peak_path})")
-    case = workload.cases[0]
-    measured = concrete_peak(target, case)
-    print(f"measured concrete peak (case 0)       : {measured:.1f}")
-
-    bespoke_nl = generate_bespoke(target.netlist, peak.analysis.profile)
-    bespoke = build_target(args.design, workload, netlist=bespoke_nl)
-    savings = compare_power(target, bespoke, case)
+    print(f"measured concrete peak (case 0)       : "
+          f"{savings.original.peak_energy:.1f}")
     print(f"bespoke energy saving                  : "
           f"{savings.energy_saving_percent:.1f}%")
     print(f"bespoke leakage saving                 : "
@@ -477,22 +476,13 @@ def cmd_disasm(args) -> int:
 def cmd_trace(args) -> int:
     workload = WORKLOADS[args.benchmark]
     target = build_target(args.design, workload)
-    case = workload.cases[args.case]
     nets = target.pc_nets + list(target.monitored_nets)
-    sim = target.make_sim()
-    target.reset(sim)
-    target.apply_concrete_inputs(sim, case)
     with VcdWriter(args.output, target.netlist, nets=nets) as vcd:
-        cycles = 0
-        while cycles < args.max_cycles:
-            target.drive_all(sim)
-            vcd.sample(sim)
-            if target.is_done(sim):
-                break
-            target.on_edge(sim)
-            sim.clock_edge()
-            cycles += 1
-    print(f"{cycles} cycles dumped to {args.output} "
+        run = run_concrete(target, workload.cases[args.case],
+                           max_cycles=args.max_cycles,
+                           cycle_observer=lambda sim, _path, cycle:
+                           vcd.sample(sim, cycle))
+    print(f"{run.cycles} cycles dumped to {args.output} "
           f"({len(nets)} signals)")
     return 0
 
@@ -664,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", dest="resume_from", default=None,
                    metavar="JOB",
                    help="continue a PARTIAL/FAILED job's checkpoint as "
-                        "a new job")
+                        "a new job, under this submission's budget")
     p.add_argument("--wait", action="store_true",
                    help="block until the job settles; exit 0/2/3/4 for "
                         "DONE/FAILED/CANCELLED/PARTIAL")

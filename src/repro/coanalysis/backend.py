@@ -5,8 +5,8 @@ batch -- used to carry its own copy of the same three pieces of
 plumbing:
 
 * the *per-cycle segment loop* (restore, apply the forked branch
-  decision, drive to fixpoint, boundary checks, budget check, activity
-  record, clock edge, release the first-cycle force);
+  decision, drive to fixpoint, activity record and observer, boundary
+  checks, budget check, clock edge, release the first-cycle force);
 * the *initial-state preparation* (reset, symbolic inputs, drive);
 * the *per-batch dispatch* (walk the pending paths, decrement the
   total-cycle budget per finished segment).
@@ -162,8 +162,10 @@ def simulate_segment(target, sim, path: PendingPath, path_id: int,
 
     Restores ``path.state`` into ``sim``, applies the forked branch
     decision as a one-cycle force, then advances cycle by cycle:
-    drive to fixpoint, boundary checks (skipped on the forced first
-    cycle), budget check, activity record, observer hook, clock edge.
+    drive to fixpoint, activity record, observer hook, boundary checks
+    (skipped on the forced first cycle), budget check, clock edge.
+    Activity and the observer therefore see every settled cycle of the
+    segment, ``0..cycles`` inclusive, the boundary cycle included.
     Arming and collecting the activity planes is the caller's concern
     -- this function only runs the loop.
     """
@@ -177,15 +179,16 @@ def simulate_segment(target, sim, path: PendingPath, path_id: int,
     cycles = 0
     while True:
         target.drive_all(sim)
+        sim.record_activity_now()
+        if cycle_observer is not None:
+            cycle_observer(sim, path_id, cycles)
 
         if not first_cycle_forced:
             outcome = boundary_outcome(target, sim)
             if outcome == "done":
-                sim.record_activity_now()
                 return SegmentResult("done", target.current_pc(sim),
                                      cycles)
             if outcome == "halt":
-                sim.record_activity_now()
                 pc = target.current_pc(sim)
                 state = sim.snapshot(pc=pc) if pc is not None else None
                 return SegmentResult("halt", pc, cycles, state)
@@ -197,9 +200,6 @@ def simulate_segment(target, sim, path: PendingPath, path_id: int,
             return SegmentResult("budget", target.current_pc(sim),
                                  cycles)
 
-        sim.record_activity_now()
-        if cycle_observer is not None:
-            cycle_observer(sim, path_id, cycles)
         target.on_edge(sim)
         sim.clock_edge()
         cycles += 1

@@ -31,15 +31,15 @@ it -- tests and ``bench_engines`` use it to force compaction with tiny
 waves.
 
 Per-cycle semantics mirror :func:`~repro.coanalysis.backend.simulate_segment`
-exactly -- drive-to-fixpoint, boundary checks
+exactly -- drive-to-fixpoint, activity recorded and the observer
+called for every live lane, then boundary checks
 (:func:`~repro.coanalysis.backend.boundary_outcome`, the same
-expression every engine uses) before the budget check, activity
-recorded after the checks, the first-cycle branch force released after
-the first edge -- so the exercisable-gate dichotomy is identical
-across engines (pinned by the equivalence matrix).  Because a
-refilled lane's first boundary check precedes its first clock edge,
-compaction is invisible to the results: only lane *scheduling*
-changes, never per-path semantics.  One intentional divergence from
+expression every engine uses) before the budget check, the first-cycle
+branch force released after the first edge -- so the exercisable-gate
+dichotomy is identical across engines (pinned by the equivalence
+matrix).  Because a refilled lane's first boundary check precedes its
+first clock edge, compaction is invisible to the results: only lane
+*scheduling* changes, never per-path semantics.  One intentional divergence from
 the serial engine: the total-cycle budget is folded into each lane's
 allowance at induction and decremented at retirement, because
 lockstep lanes share wall-clock cycles; the kernel raises on any
@@ -228,6 +228,14 @@ class BatchSegmentExecutor(SimBackend):
                     target.drive(slot.view)
                 sim.settle()
 
+            # -- every live lane's settled cycle, the boundary included
+            sim.record_activity_now()       # all armed (= live) lanes
+            if self.cycle_observer is not None:
+                for slot in live:
+                    self.cycle_observer(slot.view,
+                                        first_path_id + slot.index,
+                                        slot.cycles)
+
             # -- boundary + budget checks (a retired slot frees its lane
             # for the next iteration's refill; a refilled lane reaches
             # this check before its first clock edge)
@@ -237,19 +245,17 @@ class BatchSegmentExecutor(SimBackend):
                 outcome = None if slot.first_forced \
                     else boundary_outcome(target, view)
                 if outcome == "done":
-                    sim.record_activity_now(1 << slot.lane)
                     retire(slot, "done", target.current_pc(view))
                     continue
                 if outcome == "halt":
-                    sim.record_activity_now(1 << slot.lane)
                     pc = target.current_pc(view)
                     state = sim.lane_snapshot(slot.lane, pc=pc) \
                         if pc is not None else None
                     retire(slot, "halt", pc, state)
                     continue
                 if slot.cycles >= slot.allowance:
-                    # abandoned path: drop the branch force, skip the
-                    # activity record (mirrors the serial budget path)
+                    # abandoned path: drop the branch force (mirrors
+                    # the serial budget path)
                     sim.lane_release(slot.lane)
                     retire(slot, "budget", target.current_pc(view))
                     continue
@@ -258,12 +264,6 @@ class BatchSegmentExecutor(SimBackend):
             if not live:
                 continue    # refill (or finish) without a dead edge
 
-            sim.record_activity_now()       # all still-armed lanes
-            if self.cycle_observer is not None:
-                for slot in live:
-                    self.cycle_observer(slot.view,
-                                        first_path_id + slot.index,
-                                        slot.cycles)
             for slot in live:
                 target.on_edge(slot.view)
             sim.clock_edge()

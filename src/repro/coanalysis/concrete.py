@@ -33,14 +33,18 @@ class ConcreteRun:
     exercised_nets: np.ndarray
     final_sim: CycleSim
 
-    def final_dmem(self, addr: int) -> int:
-        mem = self.final_sim.memories["dmem"]
-        return mem.read_concrete(addr).to_int()
-
 
 def run_concrete(target: SymbolicTarget, inputs: Dict[int, int],
-                 max_cycles: int = 20000) -> ConcreteRun:
-    """Run the target's program to completion with fixed inputs."""
+                 max_cycles: int = 20000,
+                 cycle_observer=None) -> ConcreteRun:
+    """Run the target's program to completion with fixed inputs.
+
+    The one loop that runs a fixed-input program: power metering and
+    waveform dumping attach a ``cycle_observer``, a callable(sim,
+    path_id, cycle) as in ``CoAnalysisEngine``.  It sees every settled
+    cycle in order, ``0..cycles`` inclusive, the done cycle included,
+    with ``path_id`` 0.
+    """
     sim = target.make_sim()
     target.reset(sim)
     target.apply_concrete_inputs(sim, inputs)   # type: ignore[attr-defined]
@@ -58,6 +62,8 @@ def run_concrete(target: SymbolicTarget, inputs: Dict[int, int],
         # every settled cycle counts, the final one included, as it
         # does in a symbolic segment that ends "done"
         sim.record_activity_now()
+        if cycle_observer is not None:
+            cycle_observer(sim, 0, cycles)
         if target.is_done(sim):
             finished = True
             break

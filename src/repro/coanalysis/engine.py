@@ -51,10 +51,13 @@ class CoAnalysisEngine(ExplorationKernel):
     """Runs Algorithm 1 on one (application, design) pair.
 
     ``cycle_observer`` is an optional callable(sim, path_id, cycle)
-    invoked on every clocked cycle of every explored path (the cycles
-    ``simulated_cycles`` counts) -- the hook used by the peak-power
-    analysis and by waveform dumping.  Every other keyword is an
-    :class:`ExplorationKernel` setting.
+    invoked on every settled cycle of every simulated segment, in
+    order, the boundary (done, halt or budget) cycle included: a
+    segment of ``k`` clocked cycles is observed at cycles ``0..k``.
+    It is the hook of the peak-power and coverage analyses, and
+    :func:`~repro.coanalysis.concrete.run_concrete` calls it the same
+    way.  Segments replayed from a segment cache are not observed.
+    Every other keyword is an :class:`ExplorationKernel` setting.
     """
 
     def __init__(self, target: SymbolicTarget, *, backend: str = "serial",

@@ -51,8 +51,8 @@ class SerialExecutor(SimBackend):
         #: the engine name doubles as the checkpoint engine tag
         self.kind = backend
         #: optional callable(sim, path_id, cycle) invoked on every
-        #: settled cycle of every explored path -- the hook used by the
-        #: peak-power analysis and by waveform dumping
+        #: settled cycle of every segment, the boundary cycle included
+        #: -- the hook of the peak-power and coverage analyses
         self.cycle_observer = cycle_observer
         self.sim = None
 

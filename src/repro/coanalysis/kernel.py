@@ -349,6 +349,8 @@ class ExplorationKernel:
 
     # -- checkpoint plumbing ------------------------------------------------
     def _write_checkpoint(self, result: CoAnalysisResult) -> None:
+        if not self.checkpoint.ahead(self.batches_done):
+            return      # the newest record already holds this state
         profile = result.profile
         payload = encode_run_payload(
             engine=self.executor.kind,
@@ -415,6 +417,8 @@ class ExplorationKernel:
         result.profile.absorb(toggled, ever_x, val & known, known)
         counters = dict(payload["counters"])
         self.batches_done = counters.pop("batches_done", 0)
+        # the loaded record is the newest: write none that repeats it
+        self.checkpoint.last_mark = self.batches_done
         for key, value in counters.items():
             setattr(result, key, value)
         result.path_records = list(payload["path_records"])

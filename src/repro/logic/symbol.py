@@ -69,10 +69,6 @@ class SymBit:
     def is_const(self) -> bool:
         return self.level.is_known
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.sym is not None
-
     def __str__(self) -> str:
         if self.sym is not None:
             return ("~" if self.neg else "") + self.sym

@@ -178,10 +178,6 @@ class Netlist:
 
     # -- derived views -----------------------------------------------------
     @property
-    def comb_gates(self) -> List[Gate]:
-        return [g for g in self.gates if not g.is_sequential]
-
-    @property
     def seq_gates(self) -> List[Gate]:
         return [g for g in self.gates if g.is_sequential]
 

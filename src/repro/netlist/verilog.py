@@ -107,9 +107,6 @@ class _Parser:
         if got != token:
             raise NetlistError(f"expected {token!r}, got {got!r}")
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
 
 def parse_verilog(text: str) -> Netlist:
     """Parse the structural subset emitted by :func:`write_verilog`."""

@@ -93,10 +93,6 @@ def array_multiplier(d: Design, a: Sig, b: Sig) -> Sig:
     return acc
 
 
-def sign_extend_imm(d: Design, imm_bits: Sig, width: int) -> Sig:
-    return imm_bits.sext(width)
-
-
 def is_const_eq(d: Design, sig: Sig, value: int) -> Sig:
     """1 when ``sig`` equals constant ``value``."""
     return _addr_match(d, sig, value)

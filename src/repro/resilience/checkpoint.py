@@ -55,16 +55,23 @@ class Checkpointer:
         self.path = Path(path)
         self.every_segments = every_segments
         self.records_written = 0
-        self._last_mark = None          # progress mark at last write
+        #: progress mark of the newest record: the last one written, or
+        #: the one a resumed run loaded (the kernel sets it then)
+        self.last_mark: Optional[int] = None
 
     # -- cadence -----------------------------------------------------------
     def due(self, progress: int) -> bool:
         """Should a checkpoint be written at this progress mark
         (segments or waves completed)?"""
-        if self._last_mark is not None and \
-                progress - self._last_mark < self.every_segments:
+        if self.last_mark is not None and \
+                progress - self.last_mark < self.every_segments:
             return False
         return True
+
+    def ahead(self, progress: int) -> bool:
+        """Has ``progress`` passed the newest record's mark?  A record
+        written at the same mark would repeat that record."""
+        return self.last_mark is None or progress > self.last_mark
 
     # -- writing -----------------------------------------------------------
     def write(self, payload: dict, progress: int = 0) -> None:
@@ -94,7 +101,7 @@ class Checkpointer:
             raise CheckpointError(
                 f"cannot write checkpoint {self.path}: {exc}") from exc
         self.records_written += 1
-        self._last_mark = progress
+        self.last_mark = progress
 
     # -- reading -----------------------------------------------------------
     def load_latest(self) -> Optional[dict]:

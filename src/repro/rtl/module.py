@@ -161,9 +161,6 @@ class Sig:
         self._req(other)
         return (self ^ other).none()
 
-    def ne(self, other: "Sig") -> "Sig":
-        return ~self.eq(other)
-
     def ult(self, other: "Sig") -> "Sig":
         _, not_borrow = self.sub(other)
         return ~not_borrow

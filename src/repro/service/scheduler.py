@@ -33,7 +33,7 @@ import shutil
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
@@ -179,13 +179,14 @@ class Scheduler:
                 raise UnknownJob(
                     f"job {spec.resume_from} is {resume_source.state}, "
                     f"not resumable (PARTIAL/FAILED)")
-            # the continuation runs the source's configuration; only
-            # service routing fields come from the new submission
-            spec = JobSpec.from_dict({
-                **resume_source.spec.to_dict(),
-                "submitter": spec.submitter,
-                "dedup": False,
-                "resume_from": spec.resume_from})
+            # the continuation runs the source's configuration under
+            # the new submission's budget and routing fields
+            source = resume_source.spec
+            spec = replace(spec, design=source.design,
+                           benchmark=source.benchmark, csm=source.csm,
+                           engine=source.engine, frontier=source.frontier,
+                           use_constraints=source.use_constraints,
+                           dedup=False)
         with self._lock:
             fingerprint = self._fingerprint(spec)
             job = Job.new(spec, fingerprint)

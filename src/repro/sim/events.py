@@ -69,12 +69,6 @@ class EventScheduler:
             heapq.heappush(self._future_heap, when)
         slot[region].append(fn)
 
-    def pending_in_current(self) -> bool:
-        return any(self._current[r] for r in Region)
-
-    def next_time(self) -> Optional[int]:
-        return self._future_heap[0] if self._future_heap else None
-
     # -- execution ---------------------------------------------------------
     def run_time_step(self) -> None:
         """Drain the current time step region by region.
@@ -131,10 +125,6 @@ class EventScheduler:
         self.run_time_step()
         while self.advance():
             self.run_time_step()
-
-    # -- introspection / serialization --------------------------------------
-    def future_times(self) -> List[int]:
-        return sorted(t for t, slot in self._future.items() if any(slot))
 
     def clear(self) -> None:
         self._current = [deque() for _ in Region]

@@ -11,6 +11,9 @@ both legs -- since resumption must be order-independent.
 """
 
 import os
+import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -34,6 +37,23 @@ def uninterrupted():
     """Serial, uninterrupted reference run (the ground truth)."""
     return run_one(DESIGN, BENCH, use_constraints=False,
                    frontier=FRONTIER or "dfs")
+
+
+def _framed_records(path):
+    """Every record of a checkpoint file, oldest first, read from the
+    framing (``RCKP | version | length | crc32 | pickle``)."""
+    data = path.read_bytes()
+    header = struct.Struct("<BQI")
+    records, pos = [], 0
+    while pos < len(data):
+        assert data[pos:pos + 4] == b"RCKP"
+        _, length, crc = header.unpack_from(data, pos + 4)
+        start = pos + 4 + header.size
+        blob = data[start:start + length]
+        assert zlib.crc32(blob) == crc
+        records.append(pickle.loads(blob))
+        pos = start + length
+    return records
 
 
 def make_serial(**kw):
@@ -147,6 +167,27 @@ class TestInterruptResume:
         assert again.simulated_cycles == first.simulated_cycles
         assert again.profile.exercisable_gates() == \
             first.profile.exercisable_gates()
+
+    def test_no_record_repeats_the_previous_one(self, tmp_path,
+                                                uninterrupted):
+        """A governed stop, a resume and a resume of the finished run
+        each write only records that move past the newest one: every
+        framed record in the file advances ``batches_done``."""
+        ckpt = tmp_path / "stops.ckpt"
+        stopped = make_serial(checkpoint=str(ckpt),
+                              budget=RunBudget(max_segments=9)).run()
+        assert isinstance(stopped, PartialResult)
+        resumed = make_serial(checkpoint=str(ckpt), resume=True).run()
+        again = make_serial(checkpoint=str(ckpt), resume=True).run()
+        assert resumed.complete and again.complete
+        assert again.profile.exercisable_gates() == \
+            uninterrupted.profile.exercisable_gates()
+
+        marks = [record["counters"]["batches_done"]
+                 for record in _framed_records(ckpt)]
+        assert len(marks) >= 3
+        assert marks == sorted(set(marks)), marks
+        assert marks[-1] == len(again.path_records)
 
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         ckpt = tmp_path / "other.ckpt"

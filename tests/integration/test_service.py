@@ -316,3 +316,25 @@ def test_duplicate_of_a_job_orphaned_mid_run_settles_with_it(tmp_path):
     assert settled.state == "FAILED" and settled.error == orphan.error
     # persisted, not just settled in memory
     assert fresh.job_store.load(dup.job_id).state == "FAILED"
+
+
+def test_resume_from_takes_the_new_submissions_budget(tmp_path):
+    """A continuation of a job stopped by its segment cap runs under
+    the resubmission's budget, not the source's: uncapped, it finishes
+    with the unbounded answer."""
+    spec = {"design": "bm32", "benchmark": "Div"}
+    with Scheduler(tmp_path / "store", workers=1) as sched:
+        capped = sched.submit({**spec, "max_segments": 9})
+        stopped = sched.wait(capped.job_id, timeout=300)
+        assert stopped.state == "PARTIAL"
+        assert stopped.stop_reason == "segments"
+
+        resumed = sched.submit({**spec, "resume_from": capped.job_id})
+        assert resumed.spec.max_segments is None
+        assert resumed.spec.design == "bm32"
+        final = sched.wait(resumed.job_id, timeout=300)
+        assert final.state == "DONE"
+        assert final.resume_of == capped.job_id
+        assert final.metrics["paths_explored"] == 67
+        assert final.summary["exercisable_gates"] == 2638
+        assert final.summary["simulated_cycles"] == 302

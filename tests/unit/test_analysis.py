@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (PowerMeter, analyze_peak_power, compare_power,
-                            concrete_peak, leakage_power,
+from repro.analysis import (PowerMeter, analyze_coverage,
+                            analyze_peak_power, compare_power,
+                            concrete_peak, isa_usage, leakage_power,
                             measure_concrete_run)
 from repro.analysis.power import SWITCH_ENERGY
 from repro.bespoke import generate_bespoke
+from repro.coanalysis.concrete import run_concrete
+from repro.isa.disasm import mnemonic_of
 from repro.logic import Logic
 from repro.netlist.cells import LIBRARY
 from repro.rtl import Design
@@ -89,6 +92,31 @@ class TestConcreteMeasurement:
         assert report.toggles > 0
         assert report.average_power > 0
 
+    def test_observer_sees_every_cycle_through_done(self, target):
+        seen = []
+        run = run_concrete(target, WORKLOADS["mult"].cases[0],
+                           cycle_observer=lambda sim, pid, cyc:
+                           seen.append((pid, cyc)))
+        assert run.finished
+        assert seen == [(0, cycle) for cycle in range(run.cycles + 1)]
+
+    def test_meter_counts_every_clock_edge(self, target):
+        """The meter's toggles are the switching of all ``run.cycles``
+        edges, the last one into the done cycle included."""
+        case = WORKLOADS["mult"].cases[0]
+        planes = []
+        run = run_concrete(target, case,
+                           cycle_observer=lambda sim, pid, cyc:
+                           planes.append((sim.val.copy(),
+                                          sim.known.copy())))
+        switched = sum(int(((val != prev_val) | (known != prev_known))
+                           .sum())
+                       for (prev_val, prev_known), (val, known)
+                       in zip(planes, planes[1:]))
+        report = measure_concrete_run(target, case)
+        assert report.cycles == run.cycles == len(planes) - 1
+        assert report.toggles == switched
+
     def test_bespoke_saves_power(self, target):
         from repro.reporting.runner import run_one
         result = run_one("dr5", "mult")
@@ -129,3 +157,31 @@ class TestPeakPower:
         _, result = peak
         assert result.analysis is not None
         assert result.analysis.paths_created >= 1
+
+
+class TestBoundaryCycles:
+    """Observers see each path's boundary cycle, the done cycle
+    included, on every engine."""
+
+    @pytest.mark.parametrize("design,bench", [
+        ("bm32", "mult"), ("omsp430", "tHold"), ("dr5", "tea8")])
+    def test_halt_loop_is_covered(self, design, bench):
+        target = build_target(design, WORKLOADS[bench])
+        report = analyze_coverage(target, application=bench)
+        assert report.dead == []
+        halt = target.program.label("_halt")
+        jump = mnemonic_of(design, target.program.words[halt])
+        assert jump in isa_usage(report, design)
+
+    @pytest.mark.parametrize("design,bench,engines", [
+        ("omsp430", "binSearch", ("serial", "event", "batch")),
+        ("bm32", "binSearch", ("serial", "batch"))])
+    def test_peak_bound_is_engine_invariant(self, design, bench,
+                                            engines):
+        bounds = {}
+        for engine in engines:
+            target = build_target(design, WORKLOADS[bench])
+            bounds[engine] = analyze_peak_power(
+                target, application=bench, backend=engine,
+                frontier="bfs" if engine == "batch" else "dfs").peak_bound
+        assert len(set(bounds.values())) == 1, bounds

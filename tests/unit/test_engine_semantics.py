@@ -74,13 +74,19 @@ class TestObserver:
             target, application="toy",
             cycle_observer=lambda sim, pid, cyc: seen.append((pid, cyc)))
         result = engine.run()
-        assert len(seen) == result.simulated_cycles
-        # per-path cycle counters restart from zero
+        # every clocked cycle plus each segment's boundary cycle
+        assert len(seen) == result.simulated_cycles \
+            + len(result.path_records)
+        # per-path cycle counters restart from zero and run to the
+        # segment's boundary cycle
         per_path = {}
         for pid, cyc in seen:
             per_path.setdefault(pid, []).append(cyc)
-        for cycles in per_path.values():
-            assert cycles == list(range(len(cycles)))
+        assert sorted(per_path) == \
+            [r.path_id for r in result.path_records]
+        for record in result.path_records:
+            assert per_path[record.path_id] == \
+                list(range(record.cycles + 1))
 
     def test_observer_sees_settled_values(self):
         target = ToyTarget(toy_design())
