@@ -1,9 +1,8 @@
 """Shared fixtures for the benchmark harnesses.
 
 The full (design x benchmark) co-analysis grid backs every table and
-figure; it is run once and cached on disk (``.repro_cache/``), so each
-``pytest benchmarks/ --benchmark-only`` invocation re-renders artifacts
-without re-simulating everything.
+figure; each ``pytest benchmarks/ --benchmark-only`` session runs it
+once and every harness renders its artifact from that one result.
 """
 
 from pathlib import Path
@@ -14,14 +13,13 @@ from repro.reporting.runner import DESIGN_ORDER, run_grid
 from repro.resilience.artifacts import atomic_write_text
 from repro.workloads import WORKLOAD_ORDER
 
-CACHE_DIR = Path(__file__).resolve().parent.parent / ".repro_cache"
 ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 
 
 @pytest.fixture(scope="session")
 def grid():
     """results[design][benchmark] for the full paper grid."""
-    return run_grid(cache_dir=CACHE_DIR)
+    return run_grid()
 
 
 @pytest.fixture(scope="session")

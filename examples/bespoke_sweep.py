@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Bespoke-processor sweep: regenerate the paper's evaluation narrative.
 
-Runs symbolic co-analysis for every benchmark on every core (using the
-on-disk result cache if present), then prints Table 3, Table 4, Figure 5
-and Figure 6 and emits the bespoke Verilog netlist for one pair.
+Runs symbolic co-analysis for every benchmark on every core, then
+prints Table 3, Table 4, Figure 5 and Figure 6 and emits the bespoke
+Verilog netlist for one pair.
 
 Usage::
 
-    python examples/bespoke_sweep.py [--no-cache] [out.v]
+    python examples/bespoke_sweep.py [out.v]
 """
 
 import sys
@@ -20,14 +20,12 @@ from repro.workloads import WORKLOAD_ORDER
 
 
 def main(argv) -> None:
-    cache = None if "--no-cache" in argv else \
-        Path(__file__).resolve().parent.parent / ".repro_cache"
     out_v = next((a for a in argv if a.endswith(".v")), None)
 
     print("running the full co-analysis grid "
           f"({len(DESIGN_ORDER)} designs x {len(WORKLOAD_ORDER)} "
           "benchmarks) ...")
-    results = run_grid(cache_dir=cache, verbose=True)
+    results = run_grid(verbose=True)
 
     print()
     print(table3(results, WORKLOAD_ORDER, DESIGN_ORDER))

@@ -211,8 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cache = Path(args.cache) if args.cache else None
-    results = run_grid(cache_dir=cache, verbose=not args.quiet)
+    results = run_grid(verbose=not args.quiet)
     print()
     print(table3(results, WORKLOAD_ORDER, DESIGN_ORDER))
     print()
@@ -581,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("grid", help="full evaluation grid (Tables 3/4)")
-    p.add_argument("--cache", default=".repro_cache")
     p.add_argument("--figures", action="store_true")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_grid)
@@ -601,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store",
                        help="inspect/maintain a content-addressed "
-                            "artifact store (run/segment/grid caches)")
+                            "artifact store (run/segment caches)")
     p.add_argument("action", choices=["ls", "stats", "gc", "verify"],
                    help="ls: list manifests; stats: object/manifest "
                         "counts; gc: drop unreferenced blobs; verify: "

@@ -56,7 +56,9 @@ class CoAnalysisEngine(ExplorationKernel):
     segment of ``k`` clocked cycles is observed at cycles ``0..k``.
     It is the hook of the peak-power and coverage analyses, and
     :func:`~repro.coanalysis.concrete.run_concrete` calls it the same
-    way.  Segments replayed from a segment cache are not observed.
+    way.  A segment replayed from a segment cache is never simulated,
+    so it could not be observed: a ``cycle_observer`` together with a
+    ``segment_cache`` is refused with ``ValueError``.
     Every other keyword is an :class:`ExplorationKernel` setting.
     """
 
@@ -65,6 +67,11 @@ class CoAnalysisEngine(ExplorationKernel):
         if backend not in ENGINES:
             raise ValueError(f"unknown backend {backend!r}; known: "
                              + ", ".join(map(repr, ENGINES)))
+        if cycle_observer is not None \
+                and settings.get("segment_cache") is not None:
+            raise ValueError("a cycle_observer cannot see segments "
+                             "replayed from a segment_cache; pass one "
+                             "or the other")
         if backend == "batch":
             from .batch_executor import BatchSegmentExecutor
             executor = BatchSegmentExecutor(

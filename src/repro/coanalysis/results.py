@@ -119,20 +119,16 @@ class CoAnalysisResult:
         return out
 
 
-#: machine-readable reasons a governed run can stop early (open set)
-STOP_REASONS = ("deadline", "memory", "frontier", "segments",
-                "interrupted")
-
-
 @dataclass
 class PartialResult(CoAnalysisResult):
     """A governed run that stopped early, as a first-class outcome.
 
     Carries everything a :class:`CoAnalysisResult` does -- the activity
     explored *so far* -- plus a machine-readable ``stop_reason`` (one of
-    :data:`STOP_REASONS`) and the number of paths still pending.  A
-    final checkpoint was flushed before the stop, so re-running with
-    ``resume=True`` continues exactly where this result ends.
+    :data:`repro.resilience.governor.STOP_REASONS`) and the number of
+    paths still pending.  A final checkpoint was flushed before the
+    stop, so re-running with ``resume=True`` continues exactly where
+    this result ends.
 
     The profile of a partial run is a *subset* of the converged answer:
     gates it marks exercisable are, gates it has not reached yet may

@@ -1,27 +1,25 @@
 """Experiment runner: the full (design x benchmark) co-analysis grid.
 
 Every table and figure in the paper's evaluation is a projection of one
-grid of co-analysis runs (3 designs x 6 benchmarks).  This module runs
-that grid once and caches results on disk, so the per-table benchmark
-harnesses in ``benchmarks/`` can each render their artifact without
-re-simulating.
+grid of co-analysis runs (3 designs x 6 benchmarks).  :func:`run_grid`
+runs that grid, :func:`run_one` on each pair with its defaults, and
+keeps no results between processes: since the settle is compiled,
+re-running the 18 pairs is cheaper than loading stored results back.
 
-Caching is content-addressed (:mod:`repro.store`): every grid entry is
-keyed by the :func:`~repro.store.fingerprint.run_fingerprint` of its
+``run_one`` can memoize *segment results* in a content-addressed
+artifact store (:mod:`repro.store`, ``cache=``): entries are keyed by
+the :func:`~repro.store.fingerprint.run_fingerprint` of the run's
 configuration -- netlist structure, CSM config, assembled binary,
-engine, frontier, budgets -- so entries self-invalidate the moment any
-ingredient changes, with no version constant to bump.  ``run_one`` can
-additionally memoize *segment results* through the same store
-(``cache=``): a re-run of an identical configuration replays settled
-segments instead of re-simulating them.
+engine, frontier, budgets -- so a re-run of an identical configuration
+replays settled segments instead of re-simulating them, and any changed
+ingredient gets a fresh run, with no version constant to bump.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..coanalysis.engine import ENGINES, CoAnalysisEngine
 from ..coanalysis.results import CoAnalysisResult
@@ -196,58 +194,17 @@ def run_one(design: str, benchmark: str,
     return result
 
 
-def _load_grid_entry(store: ContentStore,
-                     name: str) -> Optional[CoAnalysisResult]:
-    """Load one cached grid result; any corruption -- truncated blob,
-    bad pickle, missing manifest key, wrong type -- falls through to a
-    fresh run instead of crashing the whole grid."""
-    try:
-        manifest = store.get_manifest(name)
-        if not manifest:
-            return None
-        result = pickle.loads(store.get_bytes(manifest["result"]))
-        return result if isinstance(result, CoAnalysisResult) else None
-    except Exception:
-        return None
-
-
-def run_grid(designs: Sequence[str] = tuple(DESIGN_ORDER),
-             benchmarks: Sequence[str] = tuple(WORKLOAD_ORDER),
-             strategy_factory: Callable[[], MergeStrategy] =
-             UberConservative,
-             cache_dir: Optional[Path] = None,
-             verbose: bool = False,
-             ) -> Dict[str, Dict[str, CoAnalysisResult]]:
-    """Run (or load) the full co-analysis grid.
-
-    Returns ``results[design][benchmark]``.  When ``cache_dir`` is
-    given, completed runs are stored in a content-addressed
-    :class:`~repro.store.ContentStore` there and reused.  Entries are
-    keyed by each pair's full run fingerprint -- netlist structure, CSM
-    strategy and constraints, assembled binary, budgets -- so *any*
-    change to those inputs gets a fresh run automatically, and ablation
-    strategies get distinct entries for free.
-    """
-    store = ContentStore(Path(cache_dir)) if cache_dir is not None \
-        else None
+def run_grid(verbose: bool = False) -> Dict[str, Dict[str, CoAnalysisResult]]:
+    """Run the full co-analysis grid, ``results[design][benchmark]``:
+    :func:`run_one` with its defaults on every pair of
+    :data:`DESIGN_ORDER` x ``WORKLOAD_ORDER``.  ``verbose`` prints one
+    progress line per pair."""
     results: Dict[str, Dict[str, CoAnalysisResult]] = {}
-    for design in designs:
+    for design in DESIGN_ORDER:
         results[design] = {}
-        for benchmark in benchmarks:
-            strategy = strategy_factory()
-            name = None
-            if store is not None:
-                target, constraints = _target_and_constraints(design,
-                                                              benchmark)
-                fp = _pair_fingerprint(design, benchmark, strategy,
-                                       target, constraints)
-                name = f"grid-{fp.digest}"
-                cached = _load_grid_entry(store, name)
-                if cached is not None:
-                    results[design][benchmark] = cached
-                    continue
+        for benchmark in WORKLOAD_ORDER:
             t0 = time.perf_counter()
-            result = run_one(design, benchmark, strategy=strategy)
+            result = run_one(design, benchmark)
             if verbose:
                 m = result.metrics
                 print(f"  {design:>8} / {benchmark:<10}"
@@ -258,20 +215,4 @@ def run_grid(designs: Sequence[str] = tuple(DESIGN_ORDER),
                       f" exercisable={result.exercisable_gate_count}"
                       f" ({time.perf_counter() - t0:.1f}s)")
             results[design][benchmark] = result
-            if store is not None:
-                # the blob write and the manifest write are each atomic,
-                # and the manifest goes last: a run killed mid-store
-                # leaves no entry, never a torn one
-                digest = store.put_bytes(
-                    pickle.dumps(result,
-                                 protocol=pickle.HIGHEST_PROTOCOL))
-                store.put_manifest(name, {
-                    "kind": "grid",
-                    "design": design,
-                    "benchmark": benchmark,
-                    "strategy": strategy.name,
-                    "fingerprint": fp.digest,
-                    "components": fp.components,
-                    "result": digest,
-                })
     return results

@@ -2,7 +2,7 @@
 
 Checkpoint journals are append-safe by construction, but every *other*
 output a run leaves behind -- equivalence reports, benchmark JSON,
-trace-derived metrics, rendered tables, VCD waveforms, grid caches --
+trace-derived metrics, rendered tables, VCD waveforms --
 used to be written in place: a kill mid-write left a torn file that
 looks present but does not parse.  This module gives every non-journal
 artifact the standard crash-consistency recipe:
@@ -33,8 +33,8 @@ PathLike = Union[str, Path]
 
 
 def default_cache_dir() -> Path:
-    """Where cached artifacts (grid results, the compiled level kernel)
-    live by default.
+    """Where cached artifacts (the compiled level kernel) live by
+    default.
 
     ``REPRO_CACHE_DIR`` wins when set; otherwise the platform user
     cache (``$XDG_CACHE_HOME``/``~/.cache``) -- never the installed

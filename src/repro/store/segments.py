@@ -41,8 +41,6 @@ class SegmentResultCache:
         self._store = store
         self.run_digest = run_digest
         self.manifest_name = f"segments-{run_digest}"
-        self.hits = 0
-        self.misses = 0
         try:
             manifest = store.get_manifest(self.manifest_name)
         except StoreError:
@@ -78,7 +76,6 @@ class SegmentResultCache:
         from ..sim.state import SimState
         digest = self._index.get(key)
         if digest is None:
-            self.misses += 1
             return None
         try:
             record = pickle.loads(self._store.get_bytes(digest))
@@ -92,9 +89,7 @@ class SegmentResultCache:
         except Exception:
             del self._index[key]
             self._dirty = True
-            self.misses += 1
             return None
-        self.hits += 1
         return SegmentResult(outcome, end_pc, cycles, end_state, activity)
 
     def store(self, key: str, segment) -> bool:

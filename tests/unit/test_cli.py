@@ -107,6 +107,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["analyze", "dr5", "mult", "--resume"])
 
+    def test_grid_cache_option_is_gone(self, capsys):
+        # the reporting grid keeps no results between processes
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["grid", "--cache", "X"])
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
     def test_lanes_option_is_gone(self, capsys):
         # the batch engine is always one 64-lane word
         for command in ("run", "analyze", "submit"):
@@ -190,6 +197,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "peak switching bound" in out
         assert "energy saving" in out
+
+    def test_grid_prints_tables_and_writes_nothing(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["grid", "--quiet"])
+        assert rc == 0
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("| Div ")]
+        table3_div, table4_div = rows
+        # bm32/Div: exercisable gates; paths created, skipped, cycles
+        assert table3_div[1] == "2638"
+        assert table4_div[1:4] == ["67", "1", "302"]
+        assert list(tmp_path.iterdir()) == []       # no store left behind
 
     @pytest.mark.parametrize("engine", ["serial", "event", "batch"])
     def test_run_with_trace_writes_jsonl(self, engine, tmp_path, capsys):

@@ -114,91 +114,26 @@ class TestFigures:
 
 
 class TestRunnerCache:
-    def test_cache_roundtrip(self, tmp_path, monkeypatch):
+    def test_no_cache_dir_reruns(self, monkeypatch):
+        """The grid keeps no results: every call runs all 18 pairs."""
         from repro.reporting import runner
-
+        from repro.workloads import WORKLOAD_ORDER
         calls = []
-        real_run_one = runner.run_one
 
-        def counting_run_one(design, bench, strategy=None, **kw):
+        def counting_run_one(design, bench, **kw):
+            assert not kw               # run_one's own defaults
             calls.append((design, bench))
-            return fake_result(design, bench, 2, 3, 1, 10)
+            return fake_result(design, bench, 1, 1, 0, 1)
 
         monkeypatch.setattr(runner, "run_one", counting_run_one)
-        grid1 = runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                                cache_dir=tmp_path)
-        assert calls == [("bm32", "Div")]
-        grid2 = runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                                cache_dir=tmp_path)
-        assert calls == [("bm32", "Div")]   # served from cache
-        assert grid2["bm32"]["Div"].paths_created == \
-            grid1["bm32"]["Div"].paths_created
-
-    def test_no_cache_dir_reruns(self, monkeypatch):
-        from repro.reporting import runner
-        calls = []
-        monkeypatch.setattr(
-            runner, "run_one",
-            lambda d, b, strategy=None, **kw: (
-                calls.append(1), fake_result(d, b, 1, 1, 0, 1))[1])
-        runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                        cache_dir=None)
-        runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                        cache_dir=None)
-        assert len(calls) == 2
-
-    def test_corrupt_grid_entry_falls_through_to_fresh_run(
-            self, tmp_path, monkeypatch):
-        """Satellite regression: a truncated / garbage cache entry must
-        be treated as a miss, never crash or return junk."""
-        from repro.reporting import runner
-        from repro.store import ContentStore
-
-        calls = []
-        monkeypatch.setattr(
-            runner, "run_one",
-            lambda d, b, strategy=None, **kw: (
-                calls.append(1), fake_result(d, b, 2, 3, 1, 10))[1])
-        runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                        cache_dir=tmp_path)
-        assert len(calls) == 1
-
-        store = ContentStore(tmp_path)
-        (name,) = [n for n in store.manifest_names()
-                   if n.startswith("grid-")]
-        # truncate the pickled result blob behind the manifest's back
-        digest = store.get_manifest(name)["result"]
-        store.object_path(digest).write_bytes(b"\x80garbage")
-
-        grid = runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                               cache_dir=tmp_path)
-        assert len(calls) == 2              # re-ran instead of crashing
-        assert grid["bm32"]["Div"].paths_created == 3
-
-        # same story for a torn manifest file
-        store.manifest_path(name).write_text("{not json")
-        runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                        cache_dir=tmp_path)
-        assert len(calls) == 3
-
-    def test_mutated_strategy_misses_grid_cache(self, tmp_path,
-                                                monkeypatch):
-        """No version constant: changing the CSM strategy changes the
-        fingerprint, so the cache never serves a stale entry."""
-        from repro.csm.strategies import Clustered
-        from repro.reporting import runner
-
-        calls = []
-        monkeypatch.setattr(
-            runner, "run_one",
-            lambda d, b, strategy=None, **kw: (
-                calls.append(1), fake_result(d, b, 1, 1, 0, 1))[1])
-        runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                        cache_dir=tmp_path)
-        runner.run_grid(designs=["bm32"], benchmarks=["Div"],
-                        cache_dir=tmp_path,
-                        strategy_factory=lambda: Clustered(k=2))
-        assert len(calls) == 2
+        pairs = [(d, b) for d in runner.DESIGN_ORDER
+                 for b in WORKLOAD_ORDER]
+        assert len(pairs) == 18
+        for _ in range(2):
+            calls.clear()
+            grid = runner.run_grid()
+            assert calls == pairs
+            assert [(d, b) for d in grid for b in grid[d]] == pairs
 
 
 class TestDefaultCacheDir:

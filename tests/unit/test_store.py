@@ -314,7 +314,6 @@ class TestSegmentResultCache:
         assert hit is not None
         assert hit.outcome == "done"
         assert hit.cycles == 3
-        assert fresh.hits == 1 and fresh.misses == 0
 
     def test_key_depends_on_state_and_decision(self, tmp_path):
         cache = SegmentResultCache(ContentStore(tmp_path), "f" * 64)
@@ -341,7 +340,6 @@ class TestSegmentResultCache:
 
         fresh = SegmentResultCache(store, "f" * 64)
         assert fresh.lookup(key) is None       # corrupt -> miss + evict
-        assert fresh.misses == 1
         fresh.flush()
         healed = SegmentResultCache(store, "f" * 64)
         assert len(healed) == 0
