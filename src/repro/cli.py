@@ -70,24 +70,17 @@ def cmd_analyze(args) -> int:
                      checkpoint=args.checkpoint, resume=args.resume,
                      frontier=args.strategy, engine=args.engine,
                      trace=args.trace, progress=args.progress,
-                     budget=_run_budget(args),
-                     cache=args.cache)
+                     budget=_run_budget(args))
     summary = result.summary()
     if result.resumed:
         print(f"# resumed from checkpoint {args.checkpoint}",
-              file=sys.stderr)
-    if args.cache:
-        print(f"# segment cache: {result.segment_cache_hits} hits, "
-              f"{result.segment_cache_misses} misses ({args.cache})",
               file=sys.stderr)
     if args.trace:
         print(f"# trace written to {args.trace}", file=sys.stderr)
     if args.json:
         summary["metrics"] = result.metrics.summary()
-        # always present in machine output, even when zero / complete:
-        # scripts branch on these without probing for the keys first
-        summary["segment_cache_hits"] = result.segment_cache_hits
-        summary["segment_cache_misses"] = result.segment_cache_misses
+        # always present in machine output, even on a complete run:
+        # scripts branch on it without probing for the key first
         summary["stop_reason"] = getattr(result, "stop_reason", None)
         print(json.dumps(summary, indent=2))
     else:
@@ -295,10 +288,6 @@ def cmd_store(args) -> int:
             if isinstance(components, dict):
                 row["design"] = components.get("design")
                 row["application"] = components.get("application")
-            if manifest.get("kind") == "segments":
-                segments = manifest.get("segments")
-                row["segments"] = len(segments) \
-                    if isinstance(segments, dict) else 0
             rows.append(row)
         if args.json:
             print(json.dumps(rows, indent=2))
@@ -539,11 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-segments", type=int, default=None,
                        metavar="N",
                        help="stop gracefully after N explored segments")
-        p.add_argument("--cache", metavar="DIR", default=None,
-                       help="content-addressed artifact store: memoize "
-                            "settled segments under the run's "
-                            "fingerprint so an identical re-run replays "
-                            "them instead of re-simulating")
         p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bespoke", help="generate + validate a bespoke core")
@@ -599,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store",
                        help="inspect/maintain a content-addressed "
-                            "artifact store (run/segment caches)")
+                            "artifact store (a job service's jobs and "
+                            "artifacts)")
     p.add_argument("action", choices=["ls", "stats", "gc", "verify"],
                    help="ls: list manifests; stats: object/manifest "
                         "counts; gc: drop unreferenced blobs; verify: "
@@ -613,9 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the job service: an HTTP API over a "
                             "deduplicating scheduler and worker pool")
     p.add_argument("--cache", metavar="DIR", default=".repro_cache",
-                   help="content-addressed store backing the queue, the "
-                        "segment cache and every job artifact "
-                        "(default: .repro_cache)")
+                   help="content-addressed store backing the queue and "
+                        "every job artifact (default: .repro_cache)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=None,
                    help="TCP port (default: 8351)")

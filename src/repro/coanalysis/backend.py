@@ -27,8 +27,8 @@ the paper's ``$monitor_x`` task sees.
 Activity flows one way.  Each backend reports the toggle/X planes of
 the segment it just simulated in :attr:`SegmentResult.activity`, and
 the kernel alone folds them into the run's profile, in batch order --
-live, replayed from the segment cache, or restored from a checkpoint
-alike.  A backend keeps no activity of its own between segments.
+simulated or restored from a checkpoint alike.  A backend keeps no
+activity of its own between segments.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ class SegmentResult:
     end_state: Optional[SimState] = None    # snapshot at a halt
     #: this segment's own activity planes ``(toggled, ever_x,
     #: val&known, known)``, always set by the backend.  The kernel folds
-    #: them into the profile in batch order, so a cached replay folds
-    #: the exact planes, in the exact order, of the run that recorded
-    #: them.
+    #: them into the profile in batch order.
     activity: Optional[tuple] = None
 
 

@@ -18,8 +18,8 @@ through the paper's procedure:
 every engine: it *is* the
 :class:`~repro.coanalysis.kernel.ExplorationKernel` for a target, with
 the simulation backend built from ``backend``.  Every exploration
-setting (CSM, frontier order, budgets, checkpoint, trace, segment
-cache, ...) is the kernel's and is declared there.  ``backend`` takes
+setting (CSM, frontier order, budgets, checkpoint, trace, ...) is the
+kernel's and is declared there.  ``backend`` takes
 the engine names ``run_one``, the CLI, job specs, checkpoints and
 fingerprints use: ``"serial"`` (the default) runs the vectorized cycle
 engine, ``"event"`` the event-driven kernel behind the same harness
@@ -51,15 +51,12 @@ class CoAnalysisEngine(ExplorationKernel):
     """Runs Algorithm 1 on one (application, design) pair.
 
     ``cycle_observer`` is an optional callable(sim, path_id, cycle)
-    invoked on every settled cycle of every simulated segment, in
-    order, the boundary (done, halt or budget) cycle included: a
-    segment of ``k`` clocked cycles is observed at cycles ``0..k``.
-    It is the hook of the peak-power and coverage analyses, and
+    invoked on every settled cycle of every segment, in order, the
+    boundary (done, halt or budget) cycle included: a segment of ``k``
+    clocked cycles is observed at cycles ``0..k``.  It is the hook of
+    the peak-power and coverage analyses, and
     :func:`~repro.coanalysis.concrete.run_concrete` calls it the same
-    way.  A segment replayed from a segment cache is never simulated,
-    so it could not be observed: a ``cycle_observer`` together with a
-    ``segment_cache`` is refused with ``ValueError``.
-    Every other keyword is an :class:`ExplorationKernel` setting.
+    way.  Every other keyword is an :class:`ExplorationKernel` setting.
     """
 
     def __init__(self, target: SymbolicTarget, *, backend: str = "serial",
@@ -67,11 +64,6 @@ class CoAnalysisEngine(ExplorationKernel):
         if backend not in ENGINES:
             raise ValueError(f"unknown backend {backend!r}; known: "
                              + ", ".join(map(repr, ENGINES)))
-        if cycle_observer is not None \
-                and settings.get("segment_cache") is not None:
-            raise ValueError("a cycle_observer cannot see segments "
-                             "replayed from a segment_cache; pass one "
-                             "or the other")
         if backend == "batch":
             from .batch_executor import BatchSegmentExecutor
             executor = BatchSegmentExecutor(

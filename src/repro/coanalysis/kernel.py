@@ -9,10 +9,10 @@ differs.  :class:`ExplorationKernel` owns everything else:
   :mod:`repro.coanalysis.frontier`);
 * CSM merge decisions and forking (both branch outcomes pushed);
 * the toggle profile (Algorithm 1 lines 24 and 29-43): every segment's
-  activity planes -- simulated, replayed from the segment cache, or
-  restored from a checkpoint -- are folded here and nowhere else, in
-  batch order, and the per-path exercised arrays are derived from the
-  same planes when the run asks for them;
+  activity planes -- simulated, or restored from a checkpoint -- are
+  folded here and nowhere else, in batch order, and the per-path
+  exercised arrays are derived from the same planes when the run asks
+  for them;
 * per-path and total cycle budgets (a segment that exhausts one ends
   the run with :class:`~repro.coanalysis.results.CoAnalysisError`: its
   path's activity is incomplete, so the dichotomy would be unsound);
@@ -47,7 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..resilience.checkpoint import (as_checkpointer, decode_run_payload,
+from ..resilience.checkpoint import (RESULT_COUNTERS, as_checkpointer,
+                                     decode_run_payload,
                                      encode_run_payload)
 from ..resilience.governor import TRACE_KIND_FOR_REASON, as_governor
 from ..sim.activity import ToggleProfile
@@ -88,8 +89,6 @@ class ExplorationKernel:
             the event stream (default: metrics only).
         budget: a :class:`~repro.resilience.governor.RunBudget` or
             governor ending the run as a PartialResult.
-        segment_cache: a :class:`~repro.store.segments.SegmentResultCache`
-            replaying settled segments of an identical earlier run.
         record_per_path_activity: fill ``result.per_path_exercised``
             with each segment's ``toggled | ever_x`` (power gating).
     """
@@ -105,7 +104,6 @@ class ExplorationKernel:
                  resume: bool = False,
                  tracer=None,
                  budget=None,
-                 segment_cache=None,
                  record_per_path_activity: bool = False):
         from ..csm.manager import ConservativeStateManager
         from .frontier import make_frontier
@@ -121,7 +119,6 @@ class ExplorationKernel:
         self.resume = resume
         self.tracer = tracer if tracer is not None else Tracer()
         self.governor = as_governor(budget)
-        self.segment_cache = segment_cache
         self.record_per_path_activity = record_per_path_activity
         self.batches_done = 0
         self._stop = None               # StopRequest once governed-stopped
@@ -166,8 +163,6 @@ class ExplorationKernel:
                 result.paths_created = 1
 
             self._explore(result)
-            if self.segment_cache is not None:
-                self.segment_cache.flush()
 
             if self.checkpoint is not None:
                 # final record: resuming a finished run returns
@@ -194,11 +189,6 @@ class ExplorationKernel:
             result.metrics = tracer.metrics
             return result
         finally:
-            if self.segment_cache is not None:
-                try:        # best effort on error paths; atomic either way
-                    self.segment_cache.flush()
-                except Exception:
-                    pass
             tracer.close()
 
     def _explore(self, result: CoAnalysisResult) -> None:
@@ -216,14 +206,6 @@ class ExplorationKernel:
                 self._write_checkpoint(result)
 
             batch = self.frontier.pop_batch(executor.batch_limit)
-            cache = self.segment_cache
-            keys = hits = None
-            pending = batch
-            if cache is not None:
-                keys = [cache.key(p.state, p.forced_decision)
-                        for p in batch]
-                hits = [cache.lookup(key) for key in keys]
-                pending = [p for p, hit in zip(batch, hits) if hit is None]
             ctx = BatchContext(
                 first_path_id=len(result.path_records),
                 max_cycles_per_path=self.max_cycles_per_path,
@@ -236,8 +218,7 @@ class ExplorationKernel:
                             path_id=ctx.first_path_id + offset,
                             pc=path.state.pc)
             try:
-                segments = executor.run_batch(pending, ctx) \
-                    if pending else []
+                segments = executor.run_batch(batch, ctx)
             except KeyboardInterrupt:
                 self.frontier.requeue(batch)
                 if self.checkpoint is not None:
@@ -246,28 +227,6 @@ class ExplorationKernel:
                             detail="keyboard interrupt")
                 raise
             self.batches_done += 1
-            if cache is not None:
-                # splice memoized segments back into batch order, store
-                # the freshly simulated ones, and account hits/misses --
-                # the fold below then runs in the same order a fully
-                # live run would use, so the profile is bit-identical
-                live = iter(segments)
-                segments = []
-                for offset, (path, hit, key) in enumerate(
-                        zip(batch, hits, keys)):
-                    path_id = ctx.first_path_id + offset
-                    if hit is not None:
-                        result.segment_cache_hits += 1
-                        tracer.emit("cache_hit", path_id=path_id,
-                                    pc=path.state.pc)
-                        segments.append(hit)
-                    else:
-                        segment = next(live)
-                        result.segment_cache_misses += 1
-                        tracer.emit("cache_miss", path_id=path_id,
-                                    pc=path.state.pc)
-                        cache.store(key, segment)
-                        segments.append(segment)
             for path, segment in zip(batch, segments):
                 self._absorb(path, segment, result)
             batch_data = {"size": len(batch)}
@@ -366,22 +325,12 @@ class ExplorationKernel:
                       "ever_x": profile.ever_x.copy(),
                       "val": profile.const_val.copy(),
                       "known": profile.const_known.copy()},
-            counters={"paths_created": result.paths_created,
-                      "paths_skipped": result.paths_skipped,
-                      "splits": result.splits,
-                      "simulated_cycles": result.simulated_cycles,
-                      "truncated_paths": result.truncated_paths,
-                      "segment_cache_hits": result.segment_cache_hits,
-                      "segment_cache_misses":
-                      result.segment_cache_misses,
-                      "batches_done": self.batches_done},
+            counters=dict({key: getattr(result, key)
+                           for key in RESULT_COUNTERS},
+                          batches_done=self.batches_done),
             path_records=list(result.path_records),
             per_path_exercised=list(result.per_path_exercised))
         self.checkpoint.write(payload, progress=self.batches_done)
-        if self.segment_cache is not None:
-            # flush the memo index at the same cadence as the journal,
-            # so a crash loses at most one checkpoint interval of memos
-            self.segment_cache.flush()
         self.tracer.emit("checkpoint", frontier=len(self.frontier))
 
     def _apply_checkpoint(self, raw: dict,
@@ -439,6 +388,4 @@ class ExplorationKernel:
                   "splits": result.splits,
                   "merges_covered": result.paths_skipped,
                   "simulated_cycles": result.simulated_cycles,
-                  "cache_hits": result.segment_cache_hits,
-                  "cache_misses": result.segment_cache_misses,
                   "batches": self.batches_done})

@@ -69,11 +69,6 @@ class CoAnalysisResult:
     #: (:class:`~repro.coanalysis.batch_executor.BatchRunStats`; None
     #: for the other engines)
     batch_stats: Optional[object] = None
-    #: segments replayed from / recorded into a
-    #: :class:`~repro.store.segments.SegmentResultCache` (both 0 when
-    #: the run had no segment cache)
-    segment_cache_hits: int = 0
-    segment_cache_misses: int = 0
 
     @property
     def complete(self) -> bool:
@@ -102,7 +97,7 @@ class CoAnalysisResult:
         return 100.0 * self.unexercisable_gate_count / self.total_gates
 
     def summary(self) -> Dict[str, object]:
-        out = {
+        return {
             "design": self.design,
             "application": self.application,
             "total_gates": self.total_gates,
@@ -113,10 +108,6 @@ class CoAnalysisResult:
             "simulated_cycles": self.simulated_cycles,
             "truncated_paths": self.truncated_paths,
         }
-        if self.segment_cache_hits or self.segment_cache_misses:
-            out["segment_cache_hits"] = self.segment_cache_hits
-            out["segment_cache_misses"] = self.segment_cache_misses
-        return out
 
 
 @dataclass

@@ -41,8 +41,6 @@ EVENT_KINDS = (
     "deadline",       # governor: wall-clock/segment budget spent
     "mem_pressure",   # governor: RSS ceiling or frontier cap reached
     "interrupted",    # governor: SIGINT/SIGTERM turned into a stop
-    "cache_hit",      # a settled segment was replayed from the store
-    "cache_miss",     # a segment was simulated and memoized
     "batch",          # one frontier batch (wave) completed
     "phase",          # wall-time accounting for one run phase
     "run_end",        # exploration finished (summary counters)
@@ -162,8 +160,6 @@ class RunMetrics:
     batches: int = 0
     checkpoints: int = 0
     resumes: int = 0
-    cache_hits: int = 0                 # cache_hit events (replayed)
-    cache_misses: int = 0               # cache_miss events (memoized)
     #: why a governed run stopped early (None = ran to completion)
     stop_reason: Optional[str] = None
     outcomes: Dict[str, int] = field(default_factory=dict)
@@ -183,8 +179,6 @@ class RunMetrics:
             "batches": self.batches,
             "checkpoints": self.checkpoints,
             "resumes": self.resumes,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "stop_reason": self.stop_reason,
             "outcomes": dict(self.outcomes),
             "equiv_checks": self.equiv_checks,
@@ -196,7 +190,13 @@ class RunMetrics:
 
 
 class MetricsAggregator(TraceSink):
-    """Folds the event stream into a :class:`RunMetrics`."""
+    """Folds the event stream into a :class:`RunMetrics`.
+
+    Kinds it does not count are skipped: the ``cache_hit`` and
+    ``cache_miss`` events of traces written while runs had a segment
+    cache, and the ``cache_hits`` of their ``resume`` events, leave
+    every counter as it is.
+    """
 
     def __init__(self):
         self.metrics = RunMetrics()
@@ -229,8 +229,7 @@ class MetricsAggregator(TraceSink):
             # interruption, so the stream stays consistent with the
             # engine's totals
             for key in ("paths_explored", "splits", "merges_covered",
-                        "halts", "simulated_cycles", "batches",
-                        "cache_hits", "cache_misses"):
+                        "halts", "simulated_cycles", "batches"):
                 if key in event.data:
                     setattr(m, key, event.data[key])
             if "outcomes" in event.data:
@@ -238,10 +237,6 @@ class MetricsAggregator(TraceSink):
             # an earlier attempt's stop, read from the same appended
             # trace, no longer stands once the run continues
             m.stop_reason = None
-        elif event.kind == "cache_hit":
-            m.cache_hits += 1
-        elif event.kind == "cache_miss":
-            m.cache_misses += 1
         elif event.kind in ("deadline", "mem_pressure", "interrupted"):
             m.stop_reason = str(event.data.get("reason", event.kind))
         elif event.kind == "equiv_outcome":

@@ -152,6 +152,12 @@ def load_checkpoint(path) -> Optional[dict]:
 #: version of the *run payload* schema (inside a record); independent of
 #: the record framing version above
 RUN_PAYLOAD_CODEC = 2
+#: the result counters a run payload carries, beside the kernel's
+#: ``batches_done``.  Decoding keeps only these, so the counters of
+#: removed mechanisms that older payloads carry (the poison-segment
+#: quarantine's, the segment cache's hits and misses) are dropped
+RESULT_COUNTERS = ("paths_created", "paths_skipped", "splits",
+                   "simulated_cycles", "truncated_paths")
 
 
 def encode_run_payload(engine: str, design: str, application: str,
@@ -193,19 +199,19 @@ def decode_run_payload(payload: dict) -> dict:
     Legacy (pre-codec) serial payloads carried no ``"codec"`` key and
     stored the frontier as 4-tuples under ``"stack"`` with live sim
     planes; they upgrade losslessly.  Older v2 payloads may still carry
-    the retired poison-segment ``quarantine`` snapshot and
-    ``quarantined_paths`` counter; both are dropped.  Their
+    the retired poison-segment ``quarantine`` snapshot and counters not
+    in :data:`RESULT_COUNTERS`; both are dropped.  Their
     ``strategy_meta`` (the retired novelty order's halt counts), the
     depth/origin-PC slots of their frontier entries and their
     ``journal`` (pickled ``RunEvent`` entries of the retired run
     journal) are never read.
     """
     codec = payload.get("codec")
+    counters = {k: v for k, v in payload.get("counters", {}).items()
+                if k in RESULT_COUNTERS or k == "batches_done"}
     if codec == RUN_PAYLOAD_CODEC:
-        out = dict(payload)
+        out = dict(payload, counters=counters)
         out.pop("quarantine", None)
-        out["counters"] = {k: v for k, v in out["counters"].items()
-                           if k != "quarantined_paths"}
         out.setdefault("per_path_exercised", [])
         return out
     if codec is not None:
@@ -215,7 +221,6 @@ def decode_run_payload(payload: dict) -> dict:
             f"pre-codec shapes)")
     engine = payload.get("engine")
     if engine == "serial":
-        counters = dict(payload["counters"])
         counters.setdefault("batches_done", len(payload["path_records"]))
         activity = dict(payload["activity"])
         activity.setdefault("repr", "sim")

@@ -6,7 +6,7 @@ thread per connection, which is plenty for a control plane whose hot
 path (a duplicate submission) is a manifest write.  Routes::
 
     GET  /healthz                  liveness probe
-    GET  /metrics                  queue depth, utilization, cache ratios
+    GET  /metrics                  queue depth, utilization, dedup ratio
     GET  /jobs                     all jobs (most recent last)
     POST /jobs                     submit a JobSpec (JSON body)
     GET  /jobs/<id>                one job's manifest
@@ -65,6 +65,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
@@ -72,9 +74,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise JobSpecError("empty request body; expected a JSON spec")
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = None
+        if length is None or length <= 0:
+            # a body that follows is unread and cannot be framed: answer,
+            # then close, so it is never parsed as the next request
+            self.close_connection = True
+            raise JobSpecError(
+                f"Content-Length is not an integer: {header!r}"
+                if length is None
+                else "empty request body; expected a JSON spec")
         try:
             payload = json.loads(self.rfile.read(length))
         except (ValueError, UnicodeDecodeError) as exc:

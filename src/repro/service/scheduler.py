@@ -10,7 +10,8 @@ runs in its own spawned process.  Two properties do the work:
   identical spec already in flight coalesces (one execution, every
   follower adopts its outcome); a fingerprint already DONE in the store
   is served without running at all.  Either way a repeated submission
-  costs a manifest write, not a simulation.
+  costs a manifest write, not a simulation.  The loop computes each
+  fingerprint once per distinct spec shape; a worker computes none.
 * **Supervision.**  A per-job
   :class:`~repro.resilience.governor.RunGovernor` turns SIGTERM and
   budget trips into checkpointed PARTIALs (the worker exits cleanly
@@ -55,13 +56,13 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
                  resume: bool, attempt: int) -> None:
     """Worker-process entry point: run one job.
 
-    Runs the full ``run_one`` stack -- segment cache against the shared
-    store, checkpoint journal and JSONL trace in the job directory, a
-    governor that turns SIGTERM/budget trips into checkpointed
-    PARTIALs -- then writes one atomic ``jobresult-<id>`` verdict
-    manifest.  Exceptions become FAILED verdicts; only a hard kill
-    leaves no verdict at all (the scheduler treats that as a lost
-    worker).
+    Runs ``run_one`` with the checkpoint journal and JSONL trace in the
+    job directory and a governor that turns SIGTERM/budget trips into
+    checkpointed PARTIALs, puts the result, the checkpoint and the
+    trace into the store once each, then writes one atomic
+    ``jobresult-<id>`` verdict manifest naming them.  Exceptions become
+    FAILED verdicts; only a hard kill leaves no verdict at all (the
+    scheduler treats that as a lost worker).
     """
     import pickle
 
@@ -90,7 +91,7 @@ def _execute_job(store_root: str, job_id: str, spec_dict: Dict,
                          checkpoint=str(ckpt), resume=resume,
                          frontier=spec.frontier,
                          engine=spec.engine, trace=str(trace_path),
-                         budget=governor, cache=store)
+                         budget=governor)
     except Exception as exc:          # noqa: BLE001 -- verdict, not crash
         verdict.update(state="FAILED",
                        error=f"{type(exc).__name__}: {exc}")
@@ -157,9 +158,7 @@ class Scheduler:
         #: builds the whole target netlist)
         self._fp_cache: Dict[tuple, str] = {}
         self.counters = {"submitted": 0, "executed": 0, "coalesced": 0,
-                         "cache_served": 0, "retries": 0,
-                         "segment_cache_hits": 0,
-                         "segment_cache_misses": 0}
+                         "cache_served": 0, "retries": 0}
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
 
@@ -303,13 +302,11 @@ class Scheduler:
             time.sleep(POLL_INTERVAL)
 
     def metrics(self) -> Dict:
-        """The /metrics payload: queue, utilization, dedup, cache."""
+        """The /metrics payload: queue, utilization, dedup."""
         with self._lock:
             by_state: Dict[str, int] = {}
             for job in self._jobs.values():
                 by_state[job.state] = by_state.get(job.state, 0) + 1
-            hits = self.counters["segment_cache_hits"]
-            misses = self.counters["segment_cache_misses"]
             submitted = self.counters["submitted"]
             dedup_hits = (self.counters["coalesced"]
                           + self.counters["cache_served"])
@@ -322,8 +319,6 @@ class Scheduler:
                     "segments": job.metrics.get("paths_explored", 0),
                     "simulated_cycles":
                         job.metrics.get("simulated_cycles", 0),
-                    "cache_hits": job.metrics.get("cache_hits", 0),
-                    "cache_misses": job.metrics.get("cache_misses", 0),
                 }
             return {
                 "queue_depth": len(self._runnable),
@@ -335,10 +330,6 @@ class Scheduler:
                 "counters": dict(self.counters),
                 "dedup_hit_ratio": (dedup_hits / submitted
                                     if submitted else 0.0),
-                "segment_cache": {
-                    "hits": hits, "misses": misses,
-                    "hit_ratio": (hits / (hits + misses)
-                                  if hits + misses else 0.0)},
                 "per_job": per_job,
             }
 
@@ -534,10 +525,6 @@ class Scheduler:
         job.pending_paths = int(verdict.get("pending_paths", 0))
         job.result_digest = verdict.get("result")
         job.artifacts = dict(verdict.get("artifacts") or {})
-        self.counters["segment_cache_hits"] += \
-            job.metrics.get("cache_hits", 0)
-        self.counters["segment_cache_misses"] += \
-            job.metrics.get("cache_misses", 0)
         state = str(verdict.get("state", "FAILED"))
         if entry.cancel_requested and state != "DONE":
             # the governor turned our SIGTERM into a checkpointed stop;

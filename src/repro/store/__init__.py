@@ -1,13 +1,11 @@
 """Content-addressed artifact store: one fingerprint layer under
-checkpoints, caches, traces, and memoized segment results.
+checkpoints, traces, job results and dedup.
 
 * :mod:`~repro.store.fingerprint` -- canonical stable digests for the
   domain objects (netlist structure, CSM config, application binary,
   run configuration);
 * :mod:`~repro.store.content` -- :class:`ContentStore`, sha256-addressed
-  blobs plus JSON manifests, written crash-consistently;
-* :mod:`~repro.store.segments` -- :class:`SegmentResultCache`, memoized
-  segment results keyed on the run fingerprint and entry state.
+  blobs plus JSON manifests, written crash-consistently.
 """
 
 from .content import ContentStore, StoreCorrupt, StoreError
@@ -15,11 +13,10 @@ from .fingerprint import (ENGINE_SEMANTICS_VERSION, RunFingerprint,
                           digest_parts, fingerprint_csm,
                           fingerprint_netlist, fingerprint_workload,
                           run_fingerprint)
-from .segments import SegmentResultCache
 
 __all__ = [
     "ContentStore", "StoreError", "StoreCorrupt",
-    "SegmentResultCache", "RunFingerprint",
+    "RunFingerprint",
     "ENGINE_SEMANTICS_VERSION", "digest_parts",
     "fingerprint_netlist", "fingerprint_csm", "fingerprint_workload",
     "run_fingerprint",

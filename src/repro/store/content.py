@@ -1,16 +1,17 @@
 """Content-addressed artifact store (blobs + JSON manifests).
 
-One on-disk layout underneath every cache and artifact registry::
+One on-disk layout underneath the job service and its artifacts::
 
     <root>/objects/ab/abcdef...       sha256-addressed immutable blobs
     <root>/manifests/<name>.json      JSON documents naming blobs
 
 Blobs are written once under their own digest -- identical content
 dedupes for free, and a reader can always detect corruption by
-re-hashing.  Manifests are small JSON files (run records, grid entries,
-segment indexes) whose values reference blobs by digest; anything a
-manifest references is live, everything else is garbage
-(:meth:`ContentStore.gc`).
+re-hashing.  Manifests are small JSON files (job records and their
+verdicts; stores written by earlier versions also hold run records,
+grid entries and segment indexes) whose values reference blobs by
+digest; anything a manifest references is live, everything else is
+garbage (:meth:`ContentStore.gc`).
 
 All writes go through the crash-consistency helpers in
 :mod:`repro.resilience.artifacts`: a store is never left with a torn
@@ -203,8 +204,9 @@ class ContentStore:
     def _fingerprint_digests(self) -> Set[str]:
         """Digest-shaped strings embedded in manifest *names*.
 
-        ``run-<fp>`` / ``segments-<fp>`` / ``grid-<fp>`` manifests carry
-        their run fingerprint in the name; that fingerprint then appears
+        ``run-<fp>`` / ``segments-<fp>`` / ``grid-<fp>`` manifests, which
+        earlier versions wrote, carry their run fingerprint in the
+        name; that fingerprint then appears
         in manifest bodies as a cross-reference, not as a blob address,
         so gc keeps it out of harm's way and verify must not demand a
         blob for it.

@@ -1,11 +1,10 @@
 """Canonical content fingerprints for the core domain objects.
 
-Every artifact-producing layer used to invent its own cache keying: the
-reporting grid pickled results under name-string paths guarded by a
-hand-bumped version constant, compile caching keyed on object
-identity.  This module gives the four domain objects one stable digest
-each, so caches built on them *self-invalidate* the moment the
-underlying content actually changes -- no constant to remember to bump:
+This module gives the four domain objects one stable digest each.
+The job service dedupes submissions on the run digest, so a stored
+result is served again only while every ingredient is unchanged: the
+digest moves the moment the underlying content does, with no constant
+to remember to bump:
 
 * :func:`fingerprint_netlist` -- the circuit's structure (named nets,
   cell kinds, connections), independent of construction order and of
@@ -31,10 +30,10 @@ from typing import Dict, Optional
 
 #: bump when the *meaning* of a simulated segment changes (halting
 #: policy, activity recording, forced-branch semantics, state layout):
-#: memoized segment results and cached runs from older semantics must
-#: not be replayed into a run with newer ones.  This is the one version
-#: constant left, and it guards semantics -- content changes (netlist,
-#: CSM config, binary) invalidate through their own digests.
+#: a stored result from older semantics must not be served for a run
+#: with newer ones.  This is the one version constant left, and it
+#: guards semantics -- content changes (netlist, CSM config, binary)
+#: move the digest through their own fingerprints.
 #:
 #: v2: the SimBackend unification (one shared segment loop for serial /
 #: event / pool) and streaming lane compaction in the batch engine; the
@@ -111,9 +110,8 @@ def fingerprint_workload(design: str, program, data_init=None,
 class RunFingerprint:
     """A run-configuration digest plus its per-component breakdown.
 
-    ``components`` goes into run manifests verbatim, so ``repro store
-    ls`` can show *which* ingredient changed between two runs that
-    failed to share a cache.
+    ``components`` names each ingredient's own digest, so two runs
+    that fail to share a digest show *which* ingredient changed.
     """
 
     digest: str
@@ -134,7 +132,6 @@ def run_fingerprint(*, netlist, strategy=None, constraints=None,
 
     Two runs with equal digests simulate the same binary on the same
     netlist under the same CSM, engine, frontier and budgets -- their
-    segment results are interchangeable and their
     :class:`~repro.coanalysis.results.CoAnalysisResult` is reusable.
     """
     from ..sim.planes import LANE_CAPACITY

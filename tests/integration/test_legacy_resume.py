@@ -27,6 +27,10 @@ Until the trace became a run's only log, every payload's ``journal``
 slot and every result's ``journal`` field held pickled ``RunEvent``
 entries.  Such records resume and such job results load, through the
 bare ``RunEvent`` class that stays for them.
+
+While runs had a segment cache, payload counters, results and job
+metrics carried its hit and miss counts.  Such journals resume, and
+such job manifests and results load.
 """
 
 import pickle
@@ -37,10 +41,12 @@ from repro.cli import main
 from repro.coanalysis.engine import CoAnalysisEngine
 from repro.coanalysis.results import PartialResult, ResumeMismatch
 from repro.reporting.runner import run_one
-from repro.resilience.checkpoint import Checkpointer, load_checkpoint
+from repro.resilience.checkpoint import (Checkpointer, decode_run_payload,
+                                         load_checkpoint)
 from repro.resilience.governor import RunBudget
+from repro.service import Scheduler
 from repro.service.jobs import Job, JobSpec, JobStore
-from repro.store import ContentStore, SegmentResultCache
+from repro.store import ContentStore
 from repro.workloads import WORKLOADS, build_target
 
 PLANES = ("toggled", "ever_x", "const_val", "const_known")
@@ -112,21 +118,16 @@ def test_precodec_serial_journal_resumes(tmp_path):
     assert resumed.simulated_cycles == baseline.simulated_cycles
 
 
-@pytest.mark.parametrize("cached", [False, True],
-                         ids=["uncached", "cached"])
 @pytest.mark.parametrize("backend", ["serial", "event"])
-def test_v2_sim_checkpoint_resumes_bit_identical(tmp_path, backend,
-                                                 cached):
+def test_v2_sim_checkpoint_resumes_bit_identical(tmp_path, backend):
     """A v2 ``"repr": "sim"`` checkpoint, as the serial and the event
-    engine wrote it, resumes -- with or without a segment cache -- to
-    the uninterrupted run's profile, plane for plane."""
+    engine wrote it, resumes to the uninterrupted run's profile, plane
+    for plane."""
     v2 = _stopped_payload(tmp_path, backend=backend)
     path = _journal(tmp_path, "sim.ckpt",
                     dict(v2, activity=_sim_activity(v2)))
-    cache = SegmentResultCache(ContentStore(tmp_path / "store"), "sim") \
-        if cached else None
-    resumed = _engine(backend=backend, checkpoint=path, resume=True,
-                      segment_cache=cache).run()
+    resumed = _engine(backend=backend, checkpoint=path,
+                      resume=True).run()
     assert resumed.complete and resumed.resumed
 
     baseline = _engine(backend=backend).run()
@@ -332,3 +333,59 @@ def test_job_result_pickled_with_a_run_journal_loads(tmp_path):
     assert loaded.summary() == result.summary()
     assert [event.kind for event in loaded.journal] == \
         ["checkpoint"] * 8
+
+
+def test_v2_journal_with_segment_cache_counters_resumes(tmp_path):
+    """Payloads written while runs had a segment cache count its hits
+    and misses among their counters: decoding drops both, and the
+    journal resumes to the unbounded answer."""
+    v2 = _stopped_payload(tmp_path)
+    counters = dict(v2["counters"], segment_cache_hits=3,
+                    segment_cache_misses=2)
+    old = dict(v2, counters=counters)
+    assert decode_run_payload(old)["counters"] == v2["counters"]
+
+    resumed = _engine(checkpoint=_journal(tmp_path, "cached.ckpt", old),
+                      resume=True).run()
+    assert resumed.complete and resumed.resumed
+    assert not hasattr(resumed, "segment_cache_hits")
+    baseline = _engine().run()
+    for plane in PLANES:
+        assert (getattr(resumed.profile, plane)
+                == getattr(baseline.profile, plane)).all(), plane
+    assert resumed.summary() == baseline.summary()
+
+
+def test_job_stored_with_segment_cache_counters_loads(tmp_path):
+    """A DONE job whose manifest metrics hold ``cache_hits`` /
+    ``cache_misses`` and whose pickled result carries
+    ``segment_cache_hits`` / ``_misses`` loads, and still serves an
+    identical submission through dedup."""
+    spec = JobSpec.from_dict({"design": "dr5", "benchmark": "mult"})
+    result = run_one("dr5", "mult")
+    expected = result.summary()
+    result.segment_cache_hits, result.segment_cache_misses = 5, 1
+    store = ContentStore(tmp_path / "store")
+    job = Job.new(spec, spec.compute_fingerprint())
+    job.advance("RUNNING")
+    job.advance("DONE")
+    job.summary = dict(expected, segment_cache_hits=5,
+                       segment_cache_misses=1)
+    job.metrics = dict(result.metrics.summary(), cache_hits=5,
+                       cache_misses=1)
+    job.result_digest = store.put_bytes(pickle.dumps(
+        result, protocol=pickle.HIGHEST_PROTOCOL))
+    JobStore(store).save(job)
+
+    stored = JobStore(store).load(job.job_id)
+    assert stored.metrics["cache_hits"] == 5
+    loaded = JobStore(store).load_result(stored)
+    assert loaded is not None
+    assert loaded.summary() == expected
+
+    sched = Scheduler(store, workers=1)       # never started: no worker
+    sched.recover()
+    dup = sched.submit(spec.to_dict())
+    assert dup.state == "DONE" and dup.cache_hit
+    assert dup.result_digest == job.result_digest
+    assert sched.metrics()["per_job"][dup.job_id]["state"] == "DONE"

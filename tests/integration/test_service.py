@@ -24,7 +24,7 @@ pytestmark = pytest.mark.timeout(600)
 
 
 def assert_identical(expected, actual):
-    """Bit-identical analysis payloads (timing/cache counters aside)."""
+    """Bit-identical analysis payloads (timing aside)."""
     assert (actual.profile.toggled == expected.profile.toggled).all()
     assert (actual.profile.ever_x == expected.profile.ever_x).all()
     assert actual.paths_created == expected.paths_created
@@ -180,6 +180,63 @@ def test_http_api_round_trip(tmp_path):
                 with pytest.raises(ServiceError) as err:
                     call("nosuchjob000")
                 assert err.value.status == 404
+
+
+@pytest.mark.parametrize("length, error", [
+    ("abc", "not an integer"), ("1.5", "not an integer"),
+    ("-5", "empty request body")])
+def test_malformed_content_length_is_a_400(tmp_path, length, error):
+    """A submission whose Content-Length is not a positive integer is a
+    bad request, answered 400 before the body is read; the connection
+    then closes, so the unread body is never parsed as a request."""
+    import http.client
+    import json
+    from urllib.parse import urlsplit
+    sched = Scheduler(tmp_path / "store", workers=1)   # never started
+    with ServiceAPI(sched, port=0) as api:
+        url = urlsplit(api.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port,
+                                          timeout=30)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b'{"design": "dr5", "benchmark": "mult"}')
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+    assert response.status == 400, body
+    assert error in body["error"]
+    assert response.getheader("Connection") == "close"
+    assert sched.counters["submitted"] == 0
+
+
+def test_worker_stores_each_artifact_once_and_fingerprints_nothing(
+        tmp_path, monkeypatch):
+    """``_execute_job``, run in-process, computes no netlist fingerprint
+    (the scheduler keys dedup) and leaves exactly the result, the
+    checkpoint and the trace in the store, named by one verdict."""
+    from repro.service.scheduler import _execute_job
+    from repro.store import ContentStore, fingerprint as fp_module
+    calls = []
+    real = fp_module.fingerprint_netlist
+
+    def counting(netlist):
+        calls.append(netlist)
+        return real(netlist)
+
+    monkeypatch.setattr(fp_module, "fingerprint_netlist", counting)
+    monkeypatch.setattr("repro.store.fingerprint_netlist", counting)
+    store = ContentStore(tmp_path / "store")
+    _execute_job(str(store.root), "j1",
+                 {"design": "dr5", "benchmark": "mult"}, False, 1)
+    assert calls == []
+    verdict = store.get_manifest("jobresult-j1")
+    assert verdict["state"] == "DONE", verdict
+    assert set(verdict["artifacts"]) == {"checkpoint", "trace"}
+    assert store.manifest_names() == ["jobresult-j1"]
+    assert store.stats()["objects"] == 3
 
 
 def test_cancel_queued_job(tmp_path):

@@ -15,7 +15,6 @@ from repro.logic import Logic
 from repro.netlist.cells import LIBRARY
 from repro.rtl import Design
 from repro.sim import CompiledNetlist, CycleSim
-from repro.store import ContentStore, SegmentResultCache
 from repro.workloads import WORKLOADS, build_target
 
 
@@ -186,22 +185,3 @@ class TestBoundaryCycles:
                 target, application=bench, backend=engine,
                 frontier="bfs" if engine == "batch" else "dfs").peak_bound
         assert len(set(bounds.values())) == 1, bounds
-
-
-class TestObserverWithSegmentCache:
-    """A segment replayed from a segment cache is never simulated, so a
-    cycle observer would miss it: on a warm cache, coverage would see
-    none of dr5/tHold's 17 words and the peak bound would read 0.0.
-    The engine refuses the combination, and the analyses with it."""
-
-    @pytest.mark.parametrize("engine", ["serial", "event", "batch"])
-    @pytest.mark.parametrize("analyze", [analyze_coverage,
-                                         analyze_peak_power])
-    def test_observer_and_segment_cache_refused(self, analyze, engine,
-                                                tmp_path):
-        target = build_target("dr5", WORKLOADS["tHold"])
-        cache = SegmentResultCache(ContentStore(tmp_path), "f" * 64)
-        with pytest.raises(ValueError,
-                           match="cycle_observer.*segment_cache"):
-            analyze(target, application="tHold", backend=engine,
-                    segment_cache=cache)

@@ -114,6 +114,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "--cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_run_cache_option_is_gone(self, command, capsys):
+        # every run simulates its own segments: no segment cache
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "dr5", "mult",
+                                       "--cache", "X"])
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
     def test_lanes_option_is_gone(self, capsys):
         # the batch engine is always one 64-lane word
         for command in ("run", "analyze", "submit"):
@@ -295,34 +304,70 @@ class TestStoreCommand:
             assert args.json
 
     def test_store_lifecycle(self, tmp_path, capsys):
+        from repro.service import Scheduler
         cache = str(tmp_path / "store")
-        rc = main(["run", "dr5", "mult", "--cache", cache, "--json"])
-        assert rc == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert cold["segment_cache_misses"] > 0
-
-        rc = main(["run", "dr5", "mult", "--cache", cache, "--json"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        warm = json.loads(captured.out)
-        assert warm["segment_cache_hits"] > 0
-        assert warm["segment_cache_misses"] == 0
-        assert "segment cache" in captured.err
+        with Scheduler(cache, workers=1) as sched:
+            job = sched.submit({"design": "dr5", "benchmark": "mult"})
+            assert sched.wait(job.job_id, timeout=300).state == "DONE"
 
         rc = main(["store", "stats", "--cache", cache, "--json"])
         assert rc == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["objects"] > 0
-        assert stats["manifest_kinds"].get("run") == 1
+        # the result, the checkpoint and the trace, stored once each
+        assert stats["objects"] == 3
+        assert stats["manifest_kinds"] == {"job": 1, "jobresult": 1}
 
         rc = main(["store", "ls", "--cache", cache])
         assert rc == 0
-        assert "run-" in capsys.readouterr().out
+        assert f"job-{job.job_id}" in capsys.readouterr().out
 
         rc = main(["store", "gc", "--cache", cache, "--json"])
         assert rc == 0
         gc = json.loads(capsys.readouterr().out)
         assert gc["removed"] == 0           # everything registered is live
+
+        rc = main(["store", "verify", "--cache", cache, "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_store_written_with_a_segment_cache_is_maintained(
+            self, tmp_path, capsys):
+        """Stores filled while runs had a segment cache hold
+        ``segments-<fp>`` and ``run-<fp>`` manifests: ls lists them,
+        gc keeps every blob they reference, and verify passes."""
+        from repro.store import ContentStore
+        cache = str(tmp_path / "store")
+        store = ContentStore(cache)
+        fp = "a" * 64
+        segment = store.put_bytes(b"pickled segment record")
+        checkpoint = store.put_bytes(b"checkpoint journal")
+        trace = store.put_bytes(b'{"kind":"run_start"}\n')
+        orphan = store.put_bytes(b"unreferenced")
+        store.put_manifest(f"segments-{fp}", {
+            "kind": "segments", "run": fp,
+            "segments": {"b" * 64: segment}})
+        store.put_manifest(f"run-{fp}", {
+            "kind": "run", "fingerprint": fp,
+            "components": {"design": "dr5", "application": "mult",
+                           "netlist": "c" * 64},
+            "summary": {"paths_created": 1},
+            "segments_manifest": f"segments-{fp}",
+            "artifacts": {"checkpoint": checkpoint, "trace": trace}})
+
+        rc = main(["store", "ls", "--cache", cache, "--json"])
+        assert rc == 0
+        rows = {row["name"]: row
+                for row in json.loads(capsys.readouterr().out)}
+        assert rows[f"segments-{fp}"]["kind"] == "segments"
+        assert rows[f"run-{fp}"]["kind"] == "run"
+        assert rows[f"run-{fp}"]["design"] == "dr5"
+
+        rc = main(["store", "gc", "--cache", cache, "--json"])
+        assert rc == 0
+        gc = json.loads(capsys.readouterr().out)
+        assert (gc["kept"], gc["removed"]) == (3, 1)
+        assert all(store.has(d) for d in (segment, checkpoint, trace))
+        assert not store.has(orphan)
 
         rc = main(["store", "verify", "--cache", cache, "--json"])
         assert rc == 0

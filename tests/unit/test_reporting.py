@@ -138,20 +138,20 @@ class TestRunnerCache:
 
 class TestDefaultCacheDir:
     def test_env_var_wins(self, tmp_path, monkeypatch):
-        from repro.reporting.runner import default_cache_dir
+        from repro.resilience.artifacts import default_cache_dir
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
         assert default_cache_dir() == tmp_path / "custom"
 
     def test_not_inside_the_package_tree(self, monkeypatch):
         import repro
-        from repro.reporting.runner import default_cache_dir
+        from repro.resilience.artifacts import default_cache_dir
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         pkg = Path(repro.__file__).resolve().parent
         resolved = default_cache_dir().resolve()
         assert pkg not in resolved.parents and resolved != pkg
 
     def test_xdg_cache_home_honored(self, tmp_path, monkeypatch):
-        from repro.reporting.runner import default_cache_dir
+        from repro.resilience.artifacts import default_cache_dir
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert default_cache_dir() == tmp_path / "repro"

@@ -1,19 +1,17 @@
 """Unit tests for the content-addressed artifact store (repro.store)."""
 
-import json
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.csm.constraints import (ConstraintSet, NetConstraint,
                                    parse_constraints)
 from repro.csm.strategies import Clustered, ExactSet, UberConservative
 from repro.netlist import Netlist, parse_verilog, write_verilog
-from repro.store import (ContentStore, SegmentResultCache, StoreCorrupt,
-                         StoreError, digest_parts, fingerprint_csm,
+from repro.reporting.runner import pair_fingerprint
+from repro.store import (ContentStore, StoreCorrupt, StoreError,
+                         digest_parts, fingerprint_csm,
                          fingerprint_netlist, fingerprint_workload,
                          run_fingerprint)
+from repro.workloads import built_core
 
 
 def small_netlist(name="t", swap=False):
@@ -284,82 +282,56 @@ class TestContentStore:
         assert stats["manifest_kinds"] == {"run": 1, "segments": 1}
 
 
-def fake_segment(outcome="done", cycles=3, activity=True):
-    from repro.coanalysis.kernel import SegmentResult
-    planes = None
-    if activity:
-        planes = (np.zeros(4, dtype=bool), np.ones(4, dtype=bool),
-                  np.zeros(4, dtype=bool), np.ones(4, dtype=bool))
-    return SegmentResult(outcome, 7, cycles, None, planes)
+# -- run fingerprints of the built cores: the job service dedupes on them --
 
 
-def fake_state(cycle=0, pc=7):
-    from repro.sim.state import SimState
-    return SimState(net_val=np.zeros(4, dtype=bool),
-                    net_known=np.ones(4, dtype=bool),
-                    memories={}, cycle=cycle, pc=pc)
+def test_netlist_mutation_changes_run_fingerprint():
+    """A structurally different netlist must produce a different run
+    fingerprint -- no stale dedup, no version constant required."""
+    nl, _ = built_core("dr5")
+    base = run_fingerprint(netlist=nl, strategy=UberConservative(),
+                           design="dr5", application="mult")
+    mutated = nl.clone()
+    extra = mutated.add_net("__fp_probe")
+    mutated.add_gate("__fp_probe_g", "NOT", [mutated.outputs[0]], extra)
+    mutated.mark_output(extra)
+    changed = run_fingerprint(netlist=mutated,
+                              strategy=UberConservative(),
+                              design="dr5", application="mult")
+    assert base.digest != changed.digest
+    assert base.components["netlist"] != changed.components["netlist"]
 
 
-class TestSegmentResultCache:
-    def test_roundtrip(self, tmp_path):
-        store = ContentStore(tmp_path)
-        cache = SegmentResultCache(store, "f" * 64)
-        key = cache.key(fake_state(), None)
-        assert cache.lookup(key) is None
-        assert cache.store(key, fake_segment())
-        cache.flush()
+def test_csm_mutation_changes_run_fingerprint():
+    nl, _ = built_core("dr5")
+    a = run_fingerprint(netlist=nl, strategy=UberConservative(),
+                        design="dr5", application="mult")
+    b = run_fingerprint(netlist=nl, strategy=Clustered(k=2),
+                        design="dr5", application="mult")
+    assert a.digest != b.digest
+    assert a.components["csm"] != b.components["csm"]
+    # but the netlist component is untouched
+    assert a.components["netlist"] == b.components["netlist"]
 
-        fresh = SegmentResultCache(store, "f" * 64)
-        hit = fresh.lookup(key)
-        assert hit is not None
-        assert hit.outcome == "done"
-        assert hit.cycles == 3
 
-    def test_key_depends_on_state_and_decision(self, tmp_path):
-        cache = SegmentResultCache(ContentStore(tmp_path), "f" * 64)
-        base = cache.key(fake_state(), None)
-        assert cache.key(fake_state(), 1) != base
-        assert cache.key(fake_state(cycle=5), None) != base
-        other = SegmentResultCache(ContentStore(tmp_path), "e" * 64)
-        assert other.key(fake_state(), None) != base
+#: ``pair_fingerprint`` digests recorded while the batch engine's lane
+#: width was a run option: job manifests stored with them must still
+#: dedup against new submissions
+PINNED_DIGESTS = {
+    ("dr5", "binSearch", "batch", "bfs"):
+    "39782fb064f2df81e35b5e148dceddb315a643d071708e85b8352a595132fac6",
+    ("bm32", "Div", "serial", "dfs"):
+    "23ff623716947d3057f1c69531de1e2aeff94dbbf8cdce1d731dee9f41bf621b",
+    ("omsp430", "tHold", "event", "dfs"):
+    "e70413e1072454d8218153ef8929b20f40ae2ff49b0d61c51ad29fcf88f8f980",
+}
 
-    def test_uncacheable_outcomes_rejected(self, tmp_path):
-        cache = SegmentResultCache(ContentStore(tmp_path), "f" * 64)
-        key = cache.key(fake_state(), None)
-        assert not cache.store(key, fake_segment(outcome="skipped"))
-        assert not cache.store(key, fake_segment(activity=False))
 
-    def test_corrupt_record_self_heals(self, tmp_path):
-        store = ContentStore(tmp_path)
-        cache = SegmentResultCache(store, "f" * 64)
-        key = cache.key(fake_state(), None)
-        cache.store(key, fake_segment())
-        cache.flush()
-        digest = cache._index[key]
-        store.object_path(digest).write_bytes(b"garbage")
-
-        fresh = SegmentResultCache(store, "f" * 64)
-        assert fresh.lookup(key) is None       # corrupt -> miss + evict
-        fresh.flush()
-        healed = SegmentResultCache(store, "f" * 64)
-        assert len(healed) == 0
-
-    def test_corrupt_manifest_starts_fresh(self, tmp_path):
-        store = ContentStore(tmp_path)
-        cache = SegmentResultCache(store, "f" * 64)
-        cache.store(cache.key(fake_state(), None), fake_segment())
-        cache.flush()
-        store.manifest_path(cache.manifest_name).write_text("{nope")
-        fresh = SegmentResultCache(store, "f" * 64)
-        assert len(fresh) == 0
-
-    def test_flush_only_when_dirty(self, tmp_path):
-        store = ContentStore(tmp_path)
-        cache = SegmentResultCache(store, "f" * 64)
-        cache.flush()
-        assert store.get_manifest(cache.manifest_name) is None
-        cache.store(cache.key(fake_state(), None), fake_segment())
-        cache.flush()
-        manifest = store.get_manifest(cache.manifest_name)
-        assert manifest["kind"] == "segments"
-        assert len(manifest["segments"]) == 1
+@pytest.mark.parametrize("pair", sorted(PINNED_DIGESTS), ids="-".join)
+def test_pair_fingerprints_are_stable(pair):
+    """The batch engine fingerprints ``"lanes": 64`` and every other
+    engine ``"lanes": None``, so the digests do not move."""
+    design, bench, engine, frontier = pair
+    fp = pair_fingerprint(design, bench, engine=engine, frontier=frontier)
+    assert fp.components["lanes"] == (64 if engine == "batch" else None)
+    assert fp.digest == PINNED_DIGESTS[pair]

@@ -108,6 +108,35 @@ class TestMetrics:
         agg.emit(TraceEvent("resume", data={"paths_explored": 3}))
         assert agg.metrics.stop_reason is None
 
+    def test_trace_written_with_a_segment_cache_aggregates(self, tmp_path):
+        """Traces written while runs had a segment cache carry
+        ``cache_hit`` / ``cache_miss`` events and a ``cache_hits``
+        count on ``resume``: every counter comes out as without them."""
+        before = {"paths_explored": 2, "splits": 1, "halts": 1,
+                  "simulated_cycles": 30, "batches": 2,
+                  "outcomes": {"split": 1, "done": 1}}
+        plain = [TraceEvent("resume", frontier=1, data=dict(before))] \
+            + events_for_small_run()
+        old = [TraceEvent("resume", frontier=1,
+                          data=dict(before, cache_hits=2,
+                                    cache_misses=0))]
+        for event in events_for_small_run():
+            old.append(event)
+            if event.kind == "segment_start":
+                kind = "cache_hit" if event.path_id else "cache_miss"
+                old.append(TraceEvent(kind, path_id=event.path_id))
+        sink = JsonlTraceSink(tmp_path / "old.jsonl")
+        for event in old:
+            sink.emit(event)
+        sink.close()
+
+        events = read_trace(tmp_path / "old.jsonl")
+        assert {"cache_hit", "cache_miss"} <= {e.kind for e in events}
+        summary = aggregate_trace(events).summary()
+        assert summary == aggregate_trace(plain).summary()
+        assert summary["paths_explored"] == 5
+        assert "cache_hits" not in summary
+
     def test_summary_is_json_serializable(self):
         summary = aggregate_trace(events_for_small_run()).summary()
         assert json.loads(json.dumps(summary)) == summary
